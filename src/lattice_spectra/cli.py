@@ -60,6 +60,13 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"bad number in {text!r}") from exc
 
 
+def _quasimomentum(components) -> Quasimomentum:
+    try:
+        return Quasimomentum(*components)
+    except ValueError as exc:
+        raise ConfigError(f"bad quasi-momentum: {exc}") from exc
+
+
 def _parse_k_path(text: str) -> list[Quasimomentum]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -73,7 +80,7 @@ def _parse_k_path(text: str) -> list[Quasimomentum]:
     if count < 2:
         raise ConfigError("k-path needs at least 2 points")
     ts = np.linspace(0.0, 1.0, count)
-    return [Quasimomentum(*(start + t * (end - start))) for t in ts]
+    return [_quasimomentum(start + t * (end - start)) for t in ts]
 
 
 @dataclass
@@ -118,7 +125,7 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         raise ConfigError(str(exc)) from exc
     k_list: list[Quasimomentum] = []
     for trip in args.k or []:
-        k_list.append(Quasimomentum(*_parse_triple(trip)))
+        k_list.append(_quasimomentum(_parse_triple(trip)))
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
     for name in ("tie_tol", "unit_tol", "overlap_tol", "pos_tol"):

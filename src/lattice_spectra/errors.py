@@ -38,6 +38,10 @@ class PreconditionError(InputError):
     """A documented operation precondition does not hold for these inputs."""
 
 
+class ThreadCountError(InputError):
+    """The worker-count environment variable is not a positive integer."""
+
+
 class NumericalFailure(RuntimeError):
     """A numerical invariant (symmetry, positivity, convergence) failed."""
 

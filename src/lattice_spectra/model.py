@@ -36,8 +36,10 @@ class MassPair:
     m2: float
 
     def __post_init__(self) -> None:
-        if not (self.m1 > 0.0 and self.m2 > 0.0):
-            raise ValueError(f"masses must be positive, got {self.m1}, {self.m2}")
+        if not all(0.0 < m < math.inf for m in (self.m1, self.m2)):
+            raise ValueError(
+                f"masses must be positive and finite, got {self.m1}, {self.m2}"
+            )
 
     def equal_masses(self, rel_tol: float = 1e-12) -> bool:
         return abs(self.m1 - self.m2) <= rel_tol * max(self.m1, self.m2)
@@ -61,7 +63,10 @@ class TorusVector:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3"):
-            object.__setattr__(self, name, _wrap(float(getattr(self, name))))
+            c = float(getattr(self, name))
+            if not math.isfinite(c):
+                raise ValueError(f"torus component {name} must be finite, got {c}")
+            object.__setattr__(self, name, _wrap(c))
 
     @property
     def components(self) -> tuple[float, float, float]:

@@ -4,7 +4,11 @@ For a finitely supported potential with support radius R and a grid with
 N >= 2R + 1 the construction is exact on the discrete torus Z_N^3: the
 convolution operator is unitarily equivalent to multiplication by v-hat
 on the position box, so the only approximation anywhere is finite volume.
-All matrices are real symmetric and dense (desk scale, N <= 14).
+The ``build_*`` matrices are real symmetric and dense, O(N^6) in memory, so
+they stay at desk scale (N <= 14) and serve as the reference.  The nonzero
+Birman-Schwinger spectrum comes from an r x r Gram matrix instead
+(``bs_support_eigenvalues``), whose cost is O(N^3) and which reaches
+N = 128.
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
         )
         table += v * np.cos(ang)
     table /= n**3
-    idx = np.arange(n**3)
-    i1, i2, i3 = idx // (n * n), (idx // n) % n, idx % n
+    # entry ((i1, i2, i3), (j1, j2, j3)) in C order reads table[dd[i1, j1],
+    # dd[i2, j2], dd[i3, j3]]; broadcasting keeps the index arrays N x N
+    dd = (d[:, None] - d[None, :]) % n
     mat = table[
-        (i1[:, None] - i1[None, :]) % n,
-        (i2[:, None] - i2[None, :]) % n,
-        (i3[:, None] - i3[None, :]) % n,
-    ]
+        dd[:, None, None, :, None, None],
+        dd[None, :, None, None, :, None],
+        dd[None, None, :, None, None, :],
+    ].reshape(n**3, n**3)
     return 0.5 * (mat + mat.T)
 
 
@@ -154,29 +159,57 @@ def bs_support_eigenvalues(
 ) -> np.ndarray:
     """Nonzero spectrum of G(k, z) via the support-sized Gram matrix.
 
-    G has rank at most the number of supported sites; its nonzero
-    eigenvalues equal those of the r x r matrix
-    sqrt(v(x) v(y)) * (1/N^3) sum_n exp(i q_n (x - y)) / (E(q_n) - z).
-    Cheap even for grids far too large to materialize densely.
+    G has rank at most the number r of supported sites; its nonzero
+    eigenvalues equal those of the r x r matrix with entries
+    sqrt(v(x) v(y)) T(y - x), where
+    T(u) = (1/N^3) sum_n exp(i (q_n, u)) / (E(q_n) - z)
+    is the lattice Green's function of the grid at site difference u.
+
+    Both factors split per axis: E(q) = e_1(q_1) + e_2(q_2) + e_3(q_3) and
+    exp(i (q, u)) is a product of three one-axis phases.  So T is computed
+    for every needed difference at once by contracting the N x N x N array
+    1/(E - z) against the per-axis phase vectors, one axis at a time.  Each
+    axis has at most 4R + 1 distinct differences (R the support radius), so
+    the cost is O(N^3 |U|) multiply-adds and the memory O(N^3) reals; no
+    N^3 x r phase matrix and no N^3 x 3 node array is built.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     _require_grid_fits(pot, grid)
-    diag = dispersion_on_grid(m, k, grid)
-    if z >= diag.min():
+    a = grid.axis_nodes()
+    e1, e2, e3 = (
+        (1.0 - np.cos(0.5 * kj + a)) / m.m1 + (1.0 - np.cos(0.5 * kj - a)) / m.m2
+        for kj in k.components
+    )
+    resolvent = e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
+    e_low = float(resolvent.min())
+    if z >= e_low:
         raise ZNotBelowBandError(
-            f"z={z} is not below the grid-sampled dispersion minimum {diag.min()}"
+            f"z={z} is not below the grid-sampled dispersion minimum {e_low}"
         )
+    resolvent -= z
+    np.reciprocal(resolvent, out=resolvent)  # 1 / (E - z), in place
     sites = pot.sorted_sites()
     if not sites:
         return np.zeros(0)
-    q = grid.nodes()
-    s = np.array(sites, dtype=float)  # (r, 3)
-    phases = np.exp(1j * (q @ s.T))  # (N^3, r)
-    weighted = phases / (diag - z)[:, None]
+    s = np.array(sites)  # (r, 3)
+    diff = s[None, :, :] - s[:, None, :]  # (r, r, 3): y - x
+    u1, u2, u3 = (np.unique(diff[..., j]) for j in range(3))
+    # axis 3 as one real matmul against [cos | sin] of its phases, then the
+    # two small complex contractions over axes 2 and 1
+    n, w = grid.n_per_dim, len(u3)
+    ang = np.outer(a, u3)
+    part = resolvent.reshape(n * n, n) @ np.hstack([np.cos(ang), np.sin(ang)])
+    part = (part[:, :w] + 1j * part[:, w:]).reshape(n, n, w)
+    p1, p2 = np.exp(1j * np.outer(a, u1)), np.exp(1j * np.outer(a, u2))
+    green = np.einsum("abw,bv,au->uvw", part, p2, p1, optimize=True) / grid.dim
+    gram = green[
+        np.searchsorted(u1, diff[..., 0]),
+        np.searchsorted(u2, diff[..., 1]),
+        np.searchsorted(u3, diff[..., 2]),
+    ]
     # Hermitian with a genuinely complex part unless the dispersion is even
     # in q (equal masses or k = 0); eigvalsh handles the complex case
-    gram = (phases.conj().T @ weighted) / grid.dim
     root = np.sqrt([pot.entries[t] for t in sites])
     gram = root[:, None] * gram * root[None, :]
     return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))

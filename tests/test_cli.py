@@ -207,6 +207,29 @@ class TestArgumentValidation:
         code, _, _ = run(capsys, "band", "--k", "1,2")
         assert code == 2
 
+    def test_non_finite_k(self, capsys):
+        code, out, err = run(capsys, "band", "--k", "nan,0,0")
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    def test_non_finite_k_path(self, capsys):
+        code, _, _ = run(capsys, "band", "--k-path", "0,0,0:nan,0,0:3")
+        assert code == 2
+
+    def test_non_finite_masses(self, capsys):
+        code, out, err = run(capsys, "band", "--masses", "inf,1", "--k", "0,0,0")
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    def test_non_integer_thread_count(self, capsys, point_pot_file, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "two")
+        code, out, err = run(
+            capsys, "spectrum", "--potential", point_pot_file,
+            "--grid", "3", "--k", "0,0,0", "--k", "1,0,0",
+        )
+        assert code == 2 and out == ""
+        assert ENV_VAR in err
+
     def test_bad_k_path(self, capsys):
         code, _, _ = run(capsys, "band", "--k-path", "0,0,0:1,1,1")
         assert code == 2

@@ -31,6 +31,13 @@ class TestMassPair:
         with pytest.raises(ValueError):
             MassPair(1.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            MassPair(bad, 1.0)
+        with pytest.raises(ValueError):
+            MassPair(1.0, bad)
+
     def test_equal_masses(self):
         assert MassPair(1.0, 1.0).equal_masses()
         assert not MassPair(1.0, 2.0).equal_masses()
@@ -41,6 +48,14 @@ class TestTorusNormalization:
     def test_pi_maps_to_pi(self):
         k = Quasimomentum(math.pi, -math.pi, 3 * math.pi)
         assert k.components == (math.pi, math.pi, math.pi)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        # reduction mod 2*pi would otherwise map these silently to pi
+        with pytest.raises(ValueError):
+            Quasimomentum(bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            RelativeMomentum(0.0, 0.0, bad)
 
     def test_interior(self):
         assert Quasimomentum(0.1, -0.2, 3.0).is_interior()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_spectra import (
     MassPair,
@@ -185,3 +187,70 @@ class TestBSIdentity:
         eigs_h = np.sort(np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix))
         eigs_g = np.sort(np.linalg.eigvalsh(build_bs(m, k, pot, z, grid).matrix))
         assert int((eigs_h < z).sum()) == int((eigs_g > 1.0).sum())
+
+
+@st.composite
+def gram_instances(draw):
+    """Unequal masses, random k, a nonnegative potential of radius 1 or 2,
+    a grid with N >= 2R + 1 and a spectral parameter below the band."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * radius + 1), 10))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    m1 = draw(st.floats(0.4, 3.0))
+    m2 = draw(st.floats(0.4, 3.0).filter(lambda x: abs(x - m1) > 0.05))
+    k = Quasimomentum(*draw(st.tuples(*[st.floats(-math.pi, math.pi)] * 3)))
+    span = st.integers(-radius, radius)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(0.05, 3.0),
+                        min_size=1, max_size=5)
+    )
+    # one value per +-pair of sites, so the even extension has no conflicts
+    pot = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    m = MassPair(m1, m2)
+    z = band_geometry(m, k).e_min - draw(st.floats(0.01, 2.0))
+    return m, k, pot, z, MomentumGrid(n, offset)
+
+
+class TestSupportGram:
+    @settings(max_examples=25, deadline=None)
+    @given(gram_instances())
+    def test_matches_dense_nonzero_spectrum(self, inst):
+        m, k, pot, z, grid = inst
+        small = bs_support_eigenvalues(m, k, pot, z, grid)
+        dense = np.linalg.eigvalsh(build_bs(m, k, pot, z, grid).matrix)
+        r = len(pot.entries)
+        assert small.shape == (r,)
+        # the dense matrix has rank r; its remaining eigenvalues are zero
+        scale = dense[-1]
+        assert np.allclose(small, dense[-r:], rtol=0.0, atol=1e-10 * scale)
+        assert np.allclose(dense[:-r], 0.0, atol=1e-10 * scale)
+
+    @staticmethod
+    def _fft_gram_eigenvalues(m, k, pot, z, grid):
+        """Gram eigenvalues from the FFT of 1/(E(q) - z) over the grid nodes."""
+        n = grid.n_per_dim
+        diag = dispersion_on_grid(m, k, grid).reshape(n, n, n)
+        green = np.fft.ifftn(1.0 / (diag - z))
+        theta = -math.pi + grid.offset * (2.0 * math.pi / n)  # node at index 0
+        sites = np.array(pot.sorted_sites())
+        d = sites[None, :, :] - sites[:, None, :]  # (r, r, 3): y - x
+        g = green[d[..., 0] % n, d[..., 1] % n, d[..., 2] % n]
+        g = g * np.exp(1j * theta * d.sum(axis=-1))
+        root = np.sqrt([pot.entries[tuple(s)] for s in sites])
+        gram = root[:, None] * g * root[None, :]
+        return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+    @pytest.mark.parametrize("m, k, offset", [
+        (MassPair(1.0, 1.0), K0, 0.5),
+        (MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), 0.25),
+    ])
+    def test_pinned_against_fft_at_n128(self, m, k, offset):
+        pot = Potential({
+            (0, 0, 0): 2.0, (1, 2, 0): 0.5, (0, -1, 2): 0.7, (2, 1, -1): 0.3,
+        })
+        assert len(pot.entries) == 7
+        grid = MomentumGrid(128, offset)
+        z = band_geometry(m, k).e_min - 0.05
+        small = bs_support_eigenvalues(m, k, pot, z, grid)
+        ref = self._fft_gram_eigenvalues(m, k, pot, z, grid)
+        assert np.allclose(small, ref, rtol=1e-12, atol=0.0)
