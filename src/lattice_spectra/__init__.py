@@ -46,6 +46,7 @@ from .model import (
     save_potential,
 )
 from .operators import (
+    FiberPotential,
     GridOperator,
     bs_support_eigenvalues,
     build_bs,
@@ -53,6 +54,7 @@ from .operators import (
     build_h0,
     build_v,
     build_vhalf,
+    fiber_potential,
     potential_spectrum,
 )
 from .spectral import (
@@ -62,6 +64,7 @@ from .spectral import (
     count_below,
     default_tie_tol,
     eig_sym,
+    fiber_eigenvalues,
     spectral_report,
     spectral_width,
     verify_counting_theorem,

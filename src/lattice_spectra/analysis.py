@@ -19,11 +19,10 @@ from .dispersion import band_geometry, degenerate_directions, dispersion_on_grid
 from .errors import PreconditionError, ZeroPotentialError
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 from .operators import (
+    FiberPotential,
     build_bs,
-    build_h,
-    build_h0,
-    build_vhalf,
     bs_support_eigenvalues,
+    fiber_potential,
     potential_spectrum,
 )
 from .spectral import (
@@ -31,6 +30,7 @@ from .spectral import (
     count_below,
     default_tie_tol,
     eig_sym,
+    fiber_eigenvalues,
 )
 
 ZERO_K = Quasimomentum(0.0, 0.0, 0.0)
@@ -83,7 +83,7 @@ def bs_check(
     tie_tol: Optional[float] = None,
 ) -> BSCheck:
     """Compare n_-(z, H(k)) against n_+(1, G(k, z)) by full diagonalization."""
-    eigs_h = eig_sym(build_h(m, k, pot, grid))
+    eigs_h = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
     tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
     n_minus = count_below(z, eigs_h, tol)
     if pot.is_empty():
@@ -300,7 +300,8 @@ def positivity_check(
     """Check that positivity of H(0) transfers to H(k) for each listed k."""
     if not m.equal_masses():
         raise PreconditionError("positivity transfer requires equal masses")
-    eigs0 = eig_sym(build_h(m, ZERO_K, pot, grid))
+    v = fiber_potential(pot, grid)
+    eigs0 = fiber_eigenvalues(m, ZERO_K, v)
     tol = 1e-8 * max(1.0, float(np.abs(eigs0).max())) if pos_tol is None else pos_tol
     if eigs0[0] < -tol:
         raise PreconditionError(
@@ -308,7 +309,7 @@ def positivity_check(
         )
     per_k = []
     for k in k_list:
-        lo = float(eig_sym(build_h(m, k, pot, grid))[0])
+        lo = float(fiber_eigenvalues(m, k, v)[0])
         per_k.append(PositivityAtK(k.components, lo, lo >= -tol))
     return PositivityReport(tol, float(eigs0[0]), tuple(per_k))
 
@@ -361,10 +362,11 @@ def verify_existence(
             "no threshold state at k = 0; emergence has no lower bound to verify"
         )
     required = threshold.multiplicity + (1 if threshold.has_resonance else 0)
+    v = fiber_potential(pot, grid)
     per_k = []
     for k in k_list:
         geo = band_geometry(m, k)
-        eigs = eig_sym(build_h(m, k, pot, grid))
+        eigs = fiber_eigenvalues(m, k, v)
         tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
         ptol = 1e-8 * max(1.0, float(np.abs(eigs).max())) if pos_tol is None else pos_tol
         level = geo.e_min - edge_margin
@@ -422,15 +424,22 @@ def verify_neraven(
     grid: MomentumGrid,
     edge_margin: float = 0.0,
     tie_tol: Optional[float] = None,
+    fiber: Optional[FiberPotential] = None,
 ) -> NeravenReport:
     """Band-width counting estimate plus its scalar-case exact equalities.
 
     Checks n_-(e_min, H) >= n_+(w_b, V) against the exact potential
     spectrum, the two-sided corollary with |V|, and, for equal masses at
     k = (pi, pi, pi), the exact integer equalities against the 6/m level.
+    ``fiber`` is ``fiber_potential(pot, grid)``, built once by a caller
+    that checks many k; it is built here when omitted.
     """
+    if fiber is None:
+        fiber = fiber_potential(pot, grid)
+    elif fiber.potential != pot or fiber.grid != grid:
+        raise ValueError("fiber was built for another potential or grid")
     geo = band_geometry(m, k)
-    eigs_h = eig_sym(build_h(m, k, pot, grid))
+    eigs_h = fiber_eigenvalues(m, k, fiber)
     vspec = potential_spectrum(pot, grid)
     tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
     lhs = count_below(geo.e_min - edge_margin, eigs_h, tol)

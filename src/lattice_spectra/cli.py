@@ -29,13 +29,13 @@ from .model import (
     Quasimomentum,
     load_potential,
 )
-from .operators import build_h
+from .operators import FiberPotential, fiber_potential
 from .parallel import parallel_map
 from .spectral import (
     count_above,
     count_below,
     default_tie_tol,
-    eig_sym,
+    fiber_eigenvalues,
     verify_counting_theorem,
 )
 
@@ -98,7 +98,6 @@ class RunConfig:
     trials: Optional[int]
     refine: bool
     out: Optional[str]
-    fmt: str
 
 
 def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConfig:
@@ -146,7 +145,6 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         trials=args.trials,
         refine=args.refine,
         out=args.out,
-        fmt=args.format,
     )
 
 
@@ -199,9 +197,9 @@ def cmd_band(cfg: RunConfig) -> int:
     return 0
 
 
-def _spectrum_record(cfg: RunConfig, k: Quasimomentum) -> dict:
+def _spectrum_record(cfg: RunConfig, v: FiberPotential, k: Quasimomentum) -> dict:
     geo = band_geometry(cfg.masses, k)
-    eigs = eig_sym(build_h(cfg.masses, k, cfg.potential, cfg.grid))
+    eigs = fiber_eigenvalues(cfg.masses, k, v)
     tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
     return {
         "k": list(k.components),
@@ -215,7 +213,8 @@ def _spectrum_record(cfg: RunConfig, k: Quasimomentum) -> dict:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     ks = _require_k(cfg)
-    records = parallel_map(lambda k: _spectrum_record(cfg, k), ks)
+    v = fiber_potential(cfg.potential, cfg.grid)
+    records = parallel_map(lambda k: _spectrum_record(cfg, v, k), ks)
     _emit_json({"spectrum": records}, cfg.out)
     return 0
 
@@ -265,10 +264,12 @@ def _suite_bs(cfg: RunConfig) -> dict:
 def _suite_threshold(cfg: RunConfig) -> dict:
     records = []
     ok = True
-    for k in _require_k(cfg):
+    ks = _require_k(cfg)
+    v = fiber_potential(cfg.potential, cfg.grid)
+    for k in ks:
         tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
         geo = band_geometry(cfg.masses, k)
-        eigs = eig_sym(build_h(cfg.masses, k, cfg.potential, cfg.grid))
+        eigs = fiber_eigenvalues(cfg.masses, k, v)
         tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
         direct = count_below(geo.e_min, eigs, tol)
         match = (not tc.divergent) and tc.stabilized == direct
@@ -284,9 +285,11 @@ def _suite_threshold(cfg: RunConfig) -> dict:
 def _suite_neraven(cfg: RunConfig) -> dict:
     records = []
     ok = True
-    for k in _require_k(cfg):
+    ks = _require_k(cfg)
+    v = fiber_potential(cfg.potential, cfg.grid)
+    for k in ks:
         rep = analysis.verify_neraven(cfg.masses, k, cfg.potential, cfg.grid,
-                                      tie_tol=cfg.tie_tol)
+                                      tie_tol=cfg.tie_tol, fiber=v)
         records.append({"k": list(k.components), **_jsonable(rep), "pass": rep.all_ok})
         ok = ok and rep.all_ok
     return {"records": records, "pass": ok}
@@ -352,9 +355,10 @@ def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
         if cfg.potential is None:
             raise ConfigError("below_band_eigs requires --potential")
         writer.writerow(["k1", "k2", "k3", "e_min", "n_below", "below_band_eigs"])
+        v = fiber_potential(cfg.potential, cfg.grid)
         for k in ks:
             geo = band_geometry(cfg.masses, k)
-            eigs = eig_sym(build_h(cfg.masses, k, cfg.potential, cfg.grid))
+            eigs = fiber_eigenvalues(cfg.masses, k, v)
             tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
             below = eigs[eigs < geo.e_min - tol]
             writer.writerow(
@@ -404,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--overlap-tol", type=float, dest="overlap_tol")
         p.add_argument("--pos-tol", type=float, dest="pos_tol")
         p.add_argument("--out", help="write report to file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     common(sub.add_parser("band", help="band geometry per k"))
     common(sub.add_parser("spectrum", help="eigenvalues and band counts per k"))

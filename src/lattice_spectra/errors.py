@@ -42,6 +42,10 @@ class ThreadCountError(InputError):
     """The worker-count environment variable is not a positive integer."""
 
 
+class DenseTooLargeError(InputError):
+    """A dense N^3 x N^3 matrix would not fit in the machine's physical memory."""
+
+
 class NumericalFailure(RuntimeError):
     """A numerical invariant (symmetry, positivity, convergence) failed."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Union
 
 import numpy as np
@@ -30,7 +31,7 @@ def _wrap(x: float) -> float:
 
 @dataclass(frozen=True)
 class MassPair:
-    """Masses of the two particles; both strictly positive."""
+    """Masses of the two particles; both strictly positive, with finite reciprocals."""
 
     m1: float
     m2: float
@@ -39,6 +40,10 @@ class MassPair:
         if not all(0.0 < m < math.inf for m in (self.m1, self.m2)):
             raise ValueError(
                 f"masses must be positive and finite, got {self.m1}, {self.m2}"
+            )
+        if not all(math.isfinite(1.0 / m) for m in (self.m1, self.m2)):
+            raise ValueError(
+                f"mass reciprocals overflow to infinity, got {self.m1}, {self.m2}"
             )
 
     def equal_masses(self, rel_tol: float = 1e-12) -> bool:
@@ -115,12 +120,18 @@ def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
 
 @dataclass(frozen=True)
 class Potential:
-    """Finitely supported even real function v-hat on the lattice Z^3."""
+    """Finitely supported even real function v-hat on the lattice Z^3.
+
+    ``entries`` is a read-only mapping, so evenness and ``support_radius``
+    hold for the object's lifetime.
+    """
 
     entries: Mapping[Site, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _canonical_entries(self.entries))
+        object.__setattr__(
+            self, "entries", MappingProxyType(_canonical_entries(self.entries))
+        )
 
     @property
     def support_radius(self) -> int:

@@ -5,15 +5,26 @@ N >= 2R + 1 the construction is exact on the discrete torus Z_N^3: the
 convolution operator is unitarily equivalent to multiplication by v-hat
 on the position box, so the only approximation anywhere is finite volume.
 The ``build_*`` matrices are real symmetric and dense, O(N^6) in memory, so
-they stay at desk scale (N <= 14) and serve as the reference.  The nonzero
-Birman-Schwinger spectrum comes from an r x r Gram matrix instead
-(``bs_support_eigenvalues``), whose cost is O(N^3) and which reaches
-N = 128.
+they stay at desk scale (N <= 14) and serve as the reference; a dense
+build whose 8 N^6 bytes exceed the machine's physical memory is refused
+before it allocates.  The nonzero Birman-Schwinger spectrum comes from an
+r x r Gram matrix instead (``bs_support_eigenvalues``), whose cost is
+O(N^3) and which reaches N = 128.
+
+Library eigensolves of H(k) go through ``fiber_potential``: V does not
+depend on k, so it is built once per (potential, grid) and shared
+read-only across k and worker threads.  The potential is even, so V
+commutes with the parity q -> -q.  On a grid closed under parity (offset
+0 or 1/2) V is also stored as its even and odd blocks, and whenever the
+sampled dispersion is even too (equal masses, or k = 0) H(k) is handed to
+the eigensolver as those two blocks of about N^3 / 2 each, a quarter of
+the dense work; otherwise as one N^3 x N^3 block.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +32,7 @@ import numpy as np
 
 from .dispersion import dispersion_on_grid
 from .errors import (
+    DenseTooLargeError,
     GridTooSmallError,
     NegativePotentialError,
     NumericalFailure,
@@ -51,6 +63,25 @@ def _require_grid_fits(pot: Potential, grid: MomentumGrid) -> None:
         )
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _require_dense_fits(grid: MomentumGrid) -> None:
+    need = 8.0 * grid.dim**2
+    have = _physical_memory()
+    if need > have:
+        raise DenseTooLargeError(
+            f"a dense {grid.dim} x {grid.dim} matrix (grid N={grid.n_per_dim}) "
+            f"needs {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of "
+            "physical memory"
+        )
+
+
 def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
     """Momentum-side matrix of the position multiplication operator.
 
@@ -58,6 +89,7 @@ def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
     the node index difference mod N per axis (circulant structure); the
     grid offset cancels in q_m - q_n.
     """
+    _require_dense_fits(grid)
     n = grid.n_per_dim
     d = np.arange(n)
     table = np.zeros((n, n, n))
@@ -80,6 +112,7 @@ def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
 
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     """Diagonal matrix of dispersion samples over the grid nodes."""
+    _require_dense_fits(grid)
     diag = dispersion_on_grid(m, k, grid)
     return GridOperator(np.diag(diag), grid, "H0", eigenvalues=np.sort(diag))
 
@@ -118,6 +151,98 @@ def build_h(
     h0 = build_h0(m, k, grid)
     v = build_v(pot, grid)
     return GridOperator(h0.matrix - v.matrix, grid, "H")
+
+
+# The sampled dispersion counts as parity-even when E(q) and E(-q) agree to
+# this many machine epsilons of its scale.  Node rounding leaves at most
+# about 3 eps, and by Weyl's inequality solving with the symmetrized diagonal
+# moves no eigenvalue by more than half the admitted defect.
+PARITY_TOL = 64.0 * float(np.finfo(float).eps)
+
+
+def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
+    """Index of the node -q for every node q, or None when the grid is not
+    closed under q -> -q.  Per axis node i maps to (N - i - 2 offset) mod N."""
+    if grid.offset not in (0.0, 0.5):
+        return None
+    n = grid.n_per_dim
+    axis = (n - np.arange(n) - int(2 * grid.offset)) % n
+    return (
+        axis[:, None, None] * n * n + axis[None, :, None] * n + axis[None, None, :]
+    ).ravel()
+
+
+@dataclass(frozen=True)
+class FiberPotential:
+    """V of H(k) = H0(k) - V for one (potential, grid), with its parity blocks.
+
+    Built by ``fiber_potential``; every array is read-only.  When the grid
+    is closed under parity, ``mirror`` maps each node to the node of -q,
+    the even block acts on e_q at the fixed nodes (listed last in
+    ``even_nodes``) and (e_q + e_-q)/sqrt(2) at one representative q of
+    each pair, and the odd block on (e_q - e_-q)/sqrt(2) at the pair
+    representatives ``odd_nodes``.  Otherwise ``mirror`` and the block
+    fields are None.
+    """
+
+    potential: Potential
+    v: GridOperator
+    mirror: Optional[np.ndarray] = None
+    even_nodes: Optional[np.ndarray] = None
+    odd_nodes: Optional[np.ndarray] = None
+    even: Optional[np.ndarray] = None
+    odd: Optional[np.ndarray] = None
+
+    @property
+    def grid(self) -> MomentumGrid:
+        return self.v.grid
+
+    def blocks(self, m: MassPair, k: Quasimomentum) -> list[np.ndarray]:
+        """H(k) as the diagonal blocks whose spectra together make up its own.
+
+        Two parity blocks when the grid is parity-closed and the sampled
+        dispersion is even (always for equal masses or at k = 0), else the
+        full matrix.
+        """
+        e = dispersion_on_grid(m, k, self.grid)
+        parts = [(e, self.v.matrix)]
+        if self.mirror is not None:
+            flip = e[self.mirror]
+            if np.abs(e - flip).max() <= PARITY_TOL * max(1.0, float(np.abs(e).max())):
+                e = 0.5 * (e + flip)
+                parts = [(e[self.even_nodes], self.even), (e[self.odd_nodes], self.odd)]
+        out = []
+        for diag, v in parts:
+            h = -v
+            h[np.diag_indices_from(h)] += diag
+            out.append(h)
+        return out
+
+
+def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
+    """Build V once, with its even and odd blocks when the grid allows."""
+    v = build_v(pot, grid)
+    mat = v.matrix
+    mat.setflags(write=False)
+    mirror = _parity_map(grid)
+    if mirror is None:
+        return FiberPotential(pot, v)
+    nodes = np.arange(grid.dim)
+    pairs = nodes[nodes < mirror]
+    even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+    # <e|V|e'> for the symmetric combinations is V(q, q') + V(q, -q') scaled
+    # by c c', with c = 1 at pairs and 1/sqrt(2) at fixed nodes, where the
+    # two terms coincide
+    c = np.where(np.arange(len(even_nodes)) < len(pairs), 1.0, math.sqrt(0.5))
+    even = mat[np.ix_(even_nodes, even_nodes)]
+    even += mat[np.ix_(even_nodes, mirror[even_nodes])]
+    even *= c[:, None]
+    even *= c[None, :]
+    odd = mat[np.ix_(pairs, pairs)]
+    odd -= mat[np.ix_(pairs, mirror[pairs])]
+    for a in (mirror, even_nodes, pairs, even, odd):
+        a.setflags(write=False)
+    return FiberPotential(pot, v, mirror, even_nodes, pairs, even, odd)
 
 
 def build_bs(

@@ -12,8 +12,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NonSymmetricError
-from .operators import GridOperator
+from .errors import NonSymmetricError, NumericalFailure
+from .model import MassPair, Quasimomentum
+from .operators import FiberPotential, GridOperator
 
 MatrixLike = Union[GridOperator, np.ndarray]
 
@@ -23,10 +24,19 @@ def _as_matrix(op: MatrixLike) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
+    """Square, finite and symmetric within rel_tol of the largest entry.
+
+    NaN compares false, so finiteness is checked first: max and min
+    propagate NaN and infinities.  One n x n temporary at most.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > rel_tol * scale:
+    top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not (np.isfinite(top) and np.isfinite(bottom)):
+        raise NumericalFailure("matrix handed to the eigensolver has non-finite entries")
+    asym = a - a.T
+    np.abs(asym, out=asym)
+    if float(asym.max(initial=0.0)) > rel_tol * max(1.0, top, -bottom):
         raise NonSymmetricError("matrix is not symmetric within tolerance")
 
 
@@ -34,15 +44,28 @@ def eig_sym(op: MatrixLike, vectors: bool = False):
     """Ascending eigenvalues of a symmetric matrix, optionally with vectors.
 
     Backed by LAPACK (numpy.linalg.eigh); cached eigenvalues on a
-    GridOperator are reused when vectors are not requested.
+    GridOperator are reused when vectors are not requested.  A non-finite
+    entry or a LAPACK convergence failure raises NumericalFailure.
     """
     if isinstance(op, GridOperator) and op.eigenvalues is not None and not vectors:
         return op.eigenvalues.copy()
     a = _as_matrix(op)
     _check_symmetric(a)
-    if vectors:
-        return np.linalg.eigh(a)
-    return np.linalg.eigvalsh(a)
+    try:
+        if vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def fiber_eigenvalues(m: MassPair, k: Quasimomentum, fiber: FiberPotential) -> np.ndarray:
+    """Ascending eigenvalues of H(k) = H0(k) - V, V from ``fiber_potential``.
+
+    Solves the parity blocks of H(k) separately when it has them (see
+    ``FiberPotential.blocks``) and merges their spectra.
+    """
+    return np.sort(np.concatenate([eig_sym(h) for h in fiber.blocks(m, k)]))
 
 
 def default_tie_tol(eigenvalues: Sequence[float]) -> float:

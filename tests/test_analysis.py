@@ -15,6 +15,7 @@ from lattice_spectra import (
     continuity_exponent,
     critical_coupling,
     dispersion_on_grid,
+    fiber_potential,
     positivity_check,
     resonance_analysis,
     threshold_count,
@@ -228,6 +229,15 @@ class TestNeraven:
         rep = verify_neraven(M11, K0, point_potential(1.0), MomentumGrid(6))
         assert rep.rhs == 0
         assert rep.holds
+
+    def test_shared_fiber_potential(self):
+        pot, grid = point_potential(20.0), MomentumGrid(8)
+        fiber = fiber_potential(pot, grid)
+        assert verify_neraven(M11, K0, pot, grid, fiber=fiber) == verify_neraven(
+            M11, K0, pot, grid
+        )
+        with pytest.raises(ValueError):
+            verify_neraven(M11, K0, point_potential(1.0), grid, fiber=fiber)
 
 
 class TestCheksiz:

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lattice_spectra
 from lattice_spectra.cli import main
 from lattice_spectra.parallel import ENV_VAR
 
@@ -220,6 +224,35 @@ class TestArgumentValidation:
         code, out, err = run(capsys, "band", "--masses", "inf,1", "--k", "0,0,0")
         assert code == 2 and out == ""
         assert "finite" in err
+
+    def test_mass_reciprocal_overflow(self, capsys, point_pot_file):
+        code, out, err = run(
+            capsys, "spectrum", "--masses", "1e-320,1", "--potential", point_pot_file,
+            "--grid", "3", "--k", "0,0,0",
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err
+
+    def test_format_flag_removed(self, capsys):
+        # the flag was accepted and ignored; argparse now rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "counting", "--format", "csv"])
+        assert exc.value.code == 2
+
+    def test_dense_memory_guard(self, point_pot_file):
+        # one dense matrix at N = 64 needs 8 * 64**6 bytes = 550 GB, refused
+        # before anything is allocated
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lattice_spectra.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_spectra.cli", "spectrum", "--grid", "64",
+             "--potential", point_pot_file, "--k", "0,0,0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "GB" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_integer_thread_count(self, capsys, point_pot_file, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "two")

@@ -95,6 +95,12 @@ class TestPotential:
         with pytest.raises(PotentialFormatError):
             Potential({(0, 0, 0): float("nan")})
 
+    def test_entries_read_only(self):
+        pot = Potential({(1, 0, 0): 1.0})
+        with pytest.raises(TypeError):
+            pot.entries[(5, 0, 0)] = -2.0
+        assert pot.support_radius == 1
+
     def test_malformed_json(self):
         with pytest.raises(PotentialFormatError):
             load_potential("{not json")

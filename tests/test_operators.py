@@ -20,6 +20,8 @@ from lattice_spectra import (
     build_v,
     build_vhalf,
     dispersion_on_grid,
+    fiber_eigenvalues,
+    fiber_potential,
     potential_spectrum,
 )
 from lattice_spectra.errors import (
@@ -254,3 +256,59 @@ class TestSupportGram:
         small = bs_support_eigenvalues(m, k, pot, z, grid)
         ref = self._fft_gram_eigenvalues(m, k, pot, z, grid)
         assert np.allclose(small, ref, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def fiber_instances(draw):
+    """Equal or unequal masses, k = 0 or random, a signed potential of radius
+    1 or 2, and a grid with N >= 2R + 1 at offset 0, 1/4 or 1/2."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2 * radius + 1, 9))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    m1 = draw(st.floats(0.4, 3.0))
+    m2 = draw(st.one_of(st.just(m1), st.floats(0.4, 3.0)))
+    k = draw(st.one_of(
+        st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+    ))
+    span = st.integers(-radius, radius)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(-3.0, 3.0),
+                        min_size=1, max_size=5)
+    )
+    pot = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    return MassPair(m1, m2), Quasimomentum(*k), pot, MomentumGrid(n, offset)
+
+
+class TestFiberEigenvalues:
+    @settings(max_examples=60, deadline=None)
+    @given(fiber_instances())
+    def test_matches_dense_h(self, inst):
+        m, k, pot, grid = inst
+        ref = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        eigs = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
+        assert eigs.shape == (grid.dim,)
+        assert np.all(np.diff(eigs) >= 0.0)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.allclose(eigs, ref, rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("n, offset, fixed", [
+        (3, 0.0, 1), (3, 0.5, 1), (5, 0.0, 1), (4, 0.0, 8), (6, 0.0, 8),
+        (4, 0.5, 0), (6, 0.5, 0),
+    ])
+    def test_parity_block_sizes(self, n, offset, fixed):
+        grid = MomentumGrid(n, offset)
+        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), grid)
+        even, odd = (grid.dim + fixed) // 2, (grid.dim - fixed) // 2
+        assert fv.even.shape == (even, even) and fv.odd.shape == (odd, odd)
+        for m, k in [(MassPair(1, 1), Quasimomentum(0.7, -1.9, 2.8)),
+                     (MassPair(1, 2.5), K0)]:
+            assert [h.shape[0] for h in fv.blocks(m, k)] == [even, odd]
+        # unequal masses at k != 0: the dispersion is not even, one block
+        blocks = fv.blocks(MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))
+        assert [h.shape for h in blocks] == [(grid.dim, grid.dim)]
+
+    def test_quarter_offset_is_one_block(self):
+        grid = MomentumGrid(5, 0.25)
+        fv = fiber_potential(point_potential(2.0), grid)
+        assert fv.mirror is None
+        assert [h.shape for h in fv.blocks(MassPair(1, 1), K0)] == [(125, 125)]

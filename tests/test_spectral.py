@@ -15,7 +15,7 @@ from lattice_spectra import (
     spectral_width,
     verify_counting_theorem,
 )
-from lattice_spectra.errors import NonSymmetricError
+from lattice_spectra.errors import NonSymmetricError, NumericalFailure
 from lattice_spectra.operators import build_h
 from lattice_spectra.sampling import random_low_rank_symmetric, random_symmetric
 
@@ -36,6 +36,20 @@ class TestEigSym:
     def test_rejects_non_symmetric(self):
         with pytest.raises(NonSymmetricError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite(self):
+        # NaN compares false, so a symmetry check alone lets it through and
+        # LAPACK returns [0, -0, 1] for diag(nan, 1, 1)
+        with pytest.raises(NumericalFailure):
+            eig_sym(np.diag([np.nan, 1.0, 1.0]))
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            eig_sym(np.eye(2))
 
     def test_orthogonal_conjugation_invariance(self):
         rng = np.random.default_rng(3)
