@@ -82,13 +82,20 @@ def bs_check(
     grid: MomentumGrid,
     tie_tol: Optional[float] = None,
 ) -> BSCheck:
-    """Compare n_-(z, H(k)) against n_+(1, G(k, z)) by full diagonalization."""
+    """Compare n_-(z, H(k)) against n_+(1, G(k, z)) on two independent routes.
+
+    H(k) is diagonalized in full (as its parity blocks when it has them).
+    G(k, z) has rank r, the number of potential sites, so its count comes
+    from the nonzero spectrum, the eigenvalues of the r x r Gram matrix
+    (``bs_support_eigenvalues``); the zeros of the dense G count for
+    neither side of 1 and do not move the default tie band.
+    """
     eigs_h = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
     tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
     n_minus = count_below(z, eigs_h, tol)
     if pot.is_empty():
         return BSCheck(z, n_minus, 0)
-    eigs_g = eig_sym(build_bs(m, k, pot, z, grid))
+    eigs_g = bs_support_eigenvalues(m, k, pot, z, grid)
     n_plus = count_above(1.0, eigs_g, default_tie_tol(eigs_g) if tie_tol is None else tie_tol)
     return BSCheck(z, n_minus, n_plus)
 

@@ -181,7 +181,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(doc, out: Optional[str]) -> None:
-    _emit(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out)
+    """Write doc as strict JSON; a NaN or infinity is a numerical failure,
+    raised before anything is written."""
+    try:
+        text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
+    _emit(text + "\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,25 @@ Library eigensolves of H(k) go through ``fiber_potential``: V does not
 depend on k, so it is built once per (potential, grid) and shared
 read-only across k and worker threads.  The potential is even, so V
 commutes with the parity q -> -q.  On a grid closed under parity (offset
-0 or 1/2) V is also stored as its even and odd blocks, and whenever the
-sampled dispersion is even too (equal masses, or k = 0) H(k) is handed to
-the eigensolver as those two blocks of about N^3 / 2 each, a quarter of
-the dense work; otherwise as one N^3 x N^3 block.
+0 or 1/2), whenever the sampled dispersion is even too (equal masses, or
+k = 0), H(k) is handed to the eigensolver as its even and odd blocks of
+about N^3 / 2 each, a quarter of the dense work; otherwise as one
+N^3 x N^3 block.  The two blocks of V are gathered on the first call that
+needs them, once, under a lock, so a command that never meets an even
+dispersion (unequal masses at k != 0) never holds them.
+
+Birman-Schwinger operators are positive semidefinite.  Both routes to
+their spectrum, the dense ``build_bs`` and the Gram ``bs_support_eigenvalues``,
+refuse a smallest eigenvalue below -PSD_TOL * max(1, largest |eigenvalue|)
+with ``NumericalFailure``; rounding stays far above that floor.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,7 +56,6 @@ class GridOperator:
     matrix: np.ndarray
     grid: MomentumGrid
     kind: str  # one of: H0, V, H, Vhalf, BS
-    eigenvalues: Optional[np.ndarray] = None  # cached, ascending, if known
 
     @property
     def dim(self) -> int:
@@ -114,7 +121,7 @@ def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     """Diagonal matrix of dispersion samples over the grid nodes."""
     _require_dense_fits(grid)
     diag = dispersion_on_grid(m, k, grid)
-    return GridOperator(np.diag(diag), grid, "H0", eigenvalues=np.sort(diag))
+    return GridOperator(np.diag(diag), grid, "H0")
 
 
 def build_v(pot: Potential, grid: MomentumGrid) -> GridOperator:
@@ -172,7 +179,7 @@ def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
     ).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberPotential:
     """V of H(k) = H0(k) - V for one (potential, grid), with its parity blocks.
 
@@ -182,7 +189,8 @@ class FiberPotential:
     ``even_nodes``) and (e_q + e_-q)/sqrt(2) at one representative q of
     each pair, and the odd block on (e_q - e_-q)/sqrt(2) at the pair
     representatives ``odd_nodes``.  Otherwise ``mirror`` and the block
-    fields are None.
+    fields are None.  The blocks ``even`` and ``odd`` are gathered from V
+    on first access, once, under a lock shared by the worker threads.
     """
 
     potential: Potential
@@ -190,12 +198,33 @@ class FiberPotential:
     mirror: Optional[np.ndarray] = None
     even_nodes: Optional[np.ndarray] = None
     odd_nodes: Optional[np.ndarray] = None
-    even: Optional[np.ndarray] = None
-    odd: Optional[np.ndarray] = None
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _parity_v: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def grid(self) -> MomentumGrid:
         return self.v.grid
+
+    @property
+    def even(self) -> Optional[np.ndarray]:
+        return self._parity_blocks()[0]
+
+    @property
+    def odd(self) -> Optional[np.ndarray]:
+        return self._parity_blocks()[1]
+
+    def _parity_blocks(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        if self.mirror is None:
+            return None, None
+        with self._lock:
+            if self._parity_v is None:
+                # the one field written after construction, past the freeze
+                object.__setattr__(self, "_parity_v", _gather_parity_blocks(
+                    self.v.matrix, self.mirror, self.even_nodes, self.odd_nodes
+                ))
+        return self._parity_v
 
     def blocks(self, m: MassPair, k: Quasimomentum) -> list[np.ndarray]:
         """H(k) as the diagonal blocks whose spectra together make up its own.
@@ -219,17 +248,10 @@ class FiberPotential:
         return out
 
 
-def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
-    """Build V once, with its even and odd blocks when the grid allows."""
-    v = build_v(pot, grid)
-    mat = v.matrix
-    mat.setflags(write=False)
-    mirror = _parity_map(grid)
-    if mirror is None:
-        return FiberPotential(pot, v)
-    nodes = np.arange(grid.dim)
-    pairs = nodes[nodes < mirror]
-    even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+def _gather_parity_blocks(
+    mat: np.ndarray, mirror: np.ndarray, even_nodes: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of V (see ``FiberPotential``), read-only."""
     # <e|V|e'> for the symmetric combinations is V(q, q') + V(q, -q') scaled
     # by c c', with c = 1 at pairs and 1/sqrt(2) at fixed nodes, where the
     # two terms coincide
@@ -240,9 +262,39 @@ def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
     even *= c[None, :]
     odd = mat[np.ix_(pairs, pairs)]
     odd -= mat[np.ix_(pairs, mirror[pairs])]
-    for a in (mirror, even_nodes, pairs, even, odd):
+    even.setflags(write=False)
+    odd.setflags(write=False)
+    return even, odd
+
+
+def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
+    """Build V once, with the parity node lists when the grid allows."""
+    v = build_v(pot, grid)
+    v.matrix.setflags(write=False)
+    mirror = _parity_map(grid)
+    if mirror is None:
+        return FiberPotential(pot, v)
+    nodes = np.arange(grid.dim)
+    pairs = nodes[nodes < mirror]
+    even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+    for a in (mirror, even_nodes, pairs):
         a.setflags(write=False)
-    return FiberPotential(pot, v, mirror, even_nodes, pairs, even, odd)
+    return FiberPotential(pot, v, mirror, even_nodes, pairs)
+
+
+# Relative floor below which a Birman-Schwinger eigenvalue fails the
+# positive-semidefiniteness that the theorem guarantees.
+PSD_TOL = 1e-10
+
+
+def _require_psd(eigs: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Birman-Schwinger operator, checked PSD."""
+    floor = -psd_tol * max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if eigs[0] < floor:
+        raise NumericalFailure(
+            f"Birman-Schwinger matrix not PSD: min eigenvalue {eigs[0]}"
+        )
+    return eigs
 
 
 def build_bs(
@@ -251,12 +303,12 @@ def build_bs(
     pot: Potential,
     z: float,
     grid: MomentumGrid,
-    psd_tol: float = 1e-10,
+    psd_tol: float = PSD_TOL,
 ) -> GridOperator:
     """Birman-Schwinger operator G(k, z) = V^{1/2} (H0(k) - z)^{-1} V^{1/2}.
 
-    Positive semidefiniteness is a theorem and is enforced at build time;
-    eigenvalues are computed for the check and cached on the result.
+    Positive semidefiniteness is a theorem and is enforced at build time
+    from the eigenvalues of G, which are not kept.
     """
     w = build_vhalf(pot, grid).matrix
     diag = dispersion_on_grid(m, k, grid)
@@ -266,13 +318,8 @@ def build_bs(
         )
     g = (w / (diag - z)[None, :]) @ w
     g = 0.5 * (g + g.T)
-    eigs = np.linalg.eigvalsh(g)
-    floor = -psd_tol * max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if eigs[0] < floor:
-        raise NumericalFailure(
-            f"Birman-Schwinger matrix not PSD: min eigenvalue {eigs[0]}"
-        )
-    return GridOperator(g, grid, "BS", eigenvalues=eigs)
+    _require_psd(np.linalg.eigvalsh(g), psd_tol)
+    return GridOperator(g, grid, "BS")
 
 
 def bs_support_eigenvalues(
@@ -297,6 +344,9 @@ def bs_support_eigenvalues(
     axis has at most 4R + 1 distinct differences (R the support radius), so
     the cost is O(N^3 |U|) multiply-adds and the memory O(N^3) reals; no
     N^3 x r phase matrix and no N^3 x 3 node array is built.
+
+    G is positive semidefinite, so a Gram eigenvalue below the PSD_TOL
+    floor raises NumericalFailure, as in ``build_bs``.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
@@ -337,4 +387,4 @@ def bs_support_eigenvalues(
     # in q (equal masses or k = 0); eigvalsh handles the complex case
     root = np.sqrt([pot.entries[t] for t in sites])
     gram = root[:, None] * gram * root[None, :]
-    return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    return _require_psd(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)))

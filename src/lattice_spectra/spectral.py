@@ -43,12 +43,9 @@ def _check_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
 def eig_sym(op: MatrixLike, vectors: bool = False):
     """Ascending eigenvalues of a symmetric matrix, optionally with vectors.
 
-    Backed by LAPACK (numpy.linalg.eigh); cached eigenvalues on a
-    GridOperator are reused when vectors are not requested.  A non-finite
-    entry or a LAPACK convergence failure raises NumericalFailure.
+    Backed by LAPACK (numpy.linalg.eigh).  A non-finite entry or a LAPACK
+    convergence failure raises NumericalFailure.
     """
-    if isinstance(op, GridOperator) and op.eigenvalues is not None and not vectors:
-        return op.eigenvalues.copy()
     a = _as_matrix(op)
     _check_symmetric(a)
     try:

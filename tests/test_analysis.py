@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lattice_spectra import (
     MassPair,
@@ -11,9 +13,16 @@ from lattice_spectra import (
     Potential,
     Quasimomentum,
     ZSchedule,
+    band_geometry,
     bs_check,
+    bs_support_eigenvalues,
+    build_bs,
+    build_h,
     continuity_exponent,
+    count_above,
+    count_below,
     critical_coupling,
+    default_tie_tol,
     dispersion_on_grid,
     fiber_potential,
     positivity_check,
@@ -23,7 +32,9 @@ from lattice_spectra import (
     verify_existence,
     verify_neraven,
 )
-from lattice_spectra.errors import PreconditionError, ZeroPotentialError
+from lattice_spectra import analysis, operators
+from lattice_spectra.cli import main
+from lattice_spectra.errors import NumericalFailure, PreconditionError, ZeroPotentialError
 
 from conftest import k_pi, point_potential
 
@@ -47,6 +58,33 @@ class TestZSchedule:
             ZSchedule(steps=1)
 
 
+@st.composite
+def bs_check_instances(draw):
+    """Equal or unequal masses, random k, a nonnegative potential of radius
+    1 or 2 on at least two sites, N in 4..8 (N >= 2R + 1) at offset 0, 1/4
+    or 1/2, and z below the band.  The coupling puts 1 between the smallest
+    and the largest BS eigenvalue, so both sides of 1 are populated."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * radius + 1), 8))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    m1 = draw(st.floats(0.4, 3.0))
+    m2 = draw(st.one_of(st.just(m1), st.floats(0.4, 3.0)))
+    k = Quasimomentum(*draw(st.tuples(*[st.floats(-math.pi, math.pi)] * 3)))
+    span = st.integers(-radius, radius)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(0.05, 3.0),
+                        min_size=2, max_size=5)
+    )
+    base = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    m, grid = MassPair(m1, m2), MomentumGrid(n, offset)
+    z = band_geometry(m, k).e_min - draw(st.floats(0.01, 2.0))
+    mu = bs_support_eigenvalues(m, k, base, z, grid)
+    assume(mu[-1] > 1.5 * mu[0] > 0.0)
+    t = draw(st.floats(0.2, 0.8))
+    level = mu[0] ** (1.0 - t) * mu[-1] ** t
+    return m, k, base.scaled(1.0 / level), z, grid
+
+
 class TestBSCheck:
     def test_empty_potential(self):
         check = bs_check(M11, K0, Potential({}), -1.0, MomentumGrid(4))
@@ -56,6 +94,39 @@ class TestBSCheck:
         check = bs_check(M11, K0, point_potential(8.0), -1.0, MomentumGrid(8))
         assert check.equal
         assert check.n_minus >= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(bs_check_instances())
+    def test_counts_match_dense_oracles(self, inst):
+        m, k, pot, z, grid = inst
+        check = bs_check(m, k, pot, z, grid)
+        eigs_g = np.linalg.eigvalsh(build_bs(m, k, pot, z, grid).matrix)
+        eigs_h = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        assert 0 < count_above(1.0, eigs_g) < len(pot.entries)
+        assert check.n_plus == count_above(1.0, eigs_g, default_tie_tol(eigs_g))
+        assert check.n_minus == count_below(z, eigs_h, default_tie_tol(eigs_h))
+        assert check.equal
+
+    def test_bs_suite_builds_no_dense_g(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Birman-Schwinger build")
+
+        for module, name in [(analysis, "build_bs"), (operators, "build_bs"),
+                             (operators, "build_vhalf")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(["verify", "--suite", "bs", "--trials", "6"]) == 0
+        assert '"pass": true' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("low, raises", [(-1e-6, True), (-1e-11, False)])
+    def test_gram_psd_floor(self, monkeypatch, low, raises):
+        # floor is -1e-10 * max(1, largest |eigenvalue|) = -1e-10 here
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([low, 0.5, 1.0]))
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0})
+        if raises:
+            with pytest.raises(NumericalFailure, match="not PSD"):
+                bs_support_eigenvalues(M11, K0, pot, -1.0, MomentumGrid(4))
+        else:
+            assert bs_support_eigenvalues(M11, K0, pot, -1.0, MomentumGrid(4))[0] == low
 
 
 class TestThresholdCount:

@@ -120,6 +120,21 @@ class TestCritical:
         assert doc["grid_sizes"] == [6, 12]
         assert doc["richardson"] is not None
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_nan_report_is_numerical_failure(self, capsys, monkeypatch, tmp_path,
+                                             weak_pot_file, to_file):
+        monkeypatch.setattr(
+            lattice_spectra.analysis, "critical_coupling",
+            lambda *args: lattice_spectra.CriticalCoupling(math.nan, None, (6,)),
+        )
+        out_file = tmp_path / "report.json"
+        argv = ["critical", "--potential", weak_pot_file, "--grid", "6"]
+        code, out, err = run(capsys, *argv, *(["--out", str(out_file)] if to_file else []))
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_counting_suite_passes(self, capsys):

@@ -1,6 +1,9 @@
 """Tests for the finite-torus operator builders."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from lattice_spectra import (
     fiber_potential,
     potential_spectrum,
 )
+from lattice_spectra import operators
 from lattice_spectra.errors import (
     GridTooSmallError,
     NegativePotentialError,
@@ -306,6 +310,54 @@ class TestFiberEigenvalues:
         # unequal masses at k != 0: the dispersion is not even, one block
         blocks = fv.blocks(MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))
         assert [h.shape for h in blocks] == [(grid.dim, grid.dim)]
+
+    @staticmethod
+    def _count_gathers(monkeypatch, delay=0.0):
+        calls = []
+        gather = operators._gather_parity_blocks
+
+        def counted(*args):
+            calls.append(threading.get_ident())
+            time.sleep(delay)
+            return gather(*args)
+
+        monkeypatch.setattr(operators, "_gather_parity_blocks", counted)
+        return calls
+
+    def test_parity_blocks_built_on_first_even_solve(self, monkeypatch):
+        calls = self._count_gathers(monkeypatch)
+        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
+        k = Quasimomentum(0.7, -1.9, 2.8)
+        fiber_eigenvalues(MassPair(1, 2.5), k, fv)
+        assert calls == []
+        fiber_eigenvalues(MassPair(1, 1), k, fv)
+        fiber_eigenvalues(MassPair(1, 2.5), K0, fv)
+        assert len(calls) == 1
+
+    def test_parity_blocks_built_once_across_threads(self, monkeypatch):
+        calls = self._count_gathers(monkeypatch, delay=0.05)
+        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
+        start = threading.Barrier(4)
+        results = []
+
+        def solve():
+            start.wait(timeout=10)
+            results.append(fiber_eigenvalues(MassPair(1, 1), K0, fv))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(results) == 4
+        assert all(np.array_equal(r, results[0]) for r in results)
 
     def test_quarter_offset_is_one_block(self):
         grid = MomentumGrid(5, 0.25)
