@@ -48,14 +48,18 @@ from .model import (
 from .operators import (
     FiberPotential,
     GridOperator,
+    bs_difference_norm,
     bs_support_eigenvalues,
     build_bs,
     build_h,
     build_h0,
     build_v,
     build_vhalf,
+    fiber_count_above,
+    fiber_count_below,
     fiber_potential,
     potential_spectrum,
+    weyl_bracket,
 )
 from .spectral import (
     CountingCheck,

@@ -19,11 +19,14 @@ from .dispersion import band_geometry, degenerate_directions, dispersion_on_grid
 from .errors import PreconditionError, ZeroPotentialError
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 from .operators import (
-    FiberPotential,
     build_bs,
+    bs_difference_norm,
     bs_support_eigenvalues,
+    fiber_count_above,
+    fiber_count_below,
     fiber_potential,
     potential_spectrum,
+    weyl_bracket,
 )
 from .spectral import (
     count_above,
@@ -431,31 +434,32 @@ def verify_neraven(
     grid: MomentumGrid,
     edge_margin: float = 0.0,
     tie_tol: Optional[float] = None,
-    fiber: Optional[FiberPotential] = None,
 ) -> NeravenReport:
     """Band-width counting estimate plus its scalar-case exact equalities.
 
     Checks n_-(e_min, H) >= n_+(w_b, V) against the exact potential
     spectrum, the two-sided corollary with |V|, and, for equal masses at
     k = (pi, pi, pi), the exact integer equalities against the 6/m level.
-    ``fiber`` is ``fiber_potential(pot, grid)``, built once by a caller
-    that checks many k; it is built here when omitted.
+    No dense H(k) is built.  The counts outside the band are the r x r
+    inertia counts ``fiber_count_below``/``fiber_count_above`` at
+    e_min - margin - tie_tol and e_max + margin + tie_tol, which is what
+    ``count_below``/``count_above`` with that tie band give on the dense
+    spectrum.  On the flat band (equal masses at k = (pi, pi, pi)) H0(k)
+    is 6/m times the identity and the spectrum of H(k) is 6/m minus the
+    potential spectrum, exactly, so every count there comes from it.  The
+    default tie band is ``default_tie_tol`` of ``weyl_bracket``, whose
+    scale bounds every |eigenvalue| of H(k).
     """
-    if fiber is None:
-        fiber = fiber_potential(pot, grid)
-    elif fiber.potential != pot or fiber.grid != grid:
-        raise ValueError("fiber was built for another potential or grid")
     geo = band_geometry(m, k)
-    eigs_h = fiber_eigenvalues(m, k, fiber)
     vspec = potential_spectrum(pot, grid)
-    tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
-    lhs = count_below(geo.e_min - edge_margin, eigs_h, tol)
-    rhs = count_above(geo.w_b, vspec, tol)
-    cor_lhs = lhs + count_above(geo.e_max + edge_margin, eigs_h, tol)
-    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol)
+    tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
+    lo, hi = geo.e_min - edge_margin, geo.e_max + edge_margin
     scalar_case = None
     if m.equal_masses() and all(abs(kj - math.pi) <= 1e-12 for kj in k.components):
         level = 6.0 / m.m1
+        eigs_h = level - vspec
+        lhs = count_below(lo, eigs_h, tol)
+        n_above = count_above(hi, eigs_h, tol)
         nb_h = count_below(level, eigs_h, tol)
         na_v = count_above(0.0, vspec, tol)
         na_h = count_above(level, eigs_h, tol)
@@ -463,6 +467,12 @@ def verify_neraven(
         scalar_case = ScalarCaseCheck(
             level, nb_h, na_v, na_h, nb_v, nb_h == na_v and na_h == nb_v
         )
+    else:
+        lhs = fiber_count_below(m, k, pot, lo - tol, grid)
+        n_above = fiber_count_above(m, k, pot, hi + tol, grid)
+    rhs = count_above(geo.w_b, vspec, tol)
+    cor_lhs = lhs + n_above
+    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol)
     return NeravenReport(
         geo.w_b, lhs, rhs, lhs >= rhs, cor_lhs, cor_rhs, cor_lhs >= cor_rhs, scalar_case
     )
@@ -557,21 +567,23 @@ def continuity_exponent(
 ) -> ContinuityReport:
     """Fit ||G(k, e_min) - G(k, z)|| ~ (e_min - z)^alpha along a z-schedule.
 
-    The continuum bound is square-root Hoelder; on a finite grid the decay
-    steepens towards linear once e_min - z drops below the grid gap, so the
-    fitted exponent is reported rather than a constant.
+    Each norm is the top eigenvalue of an r x r Gram (``bs_difference_norm``);
+    no dense G is built.  The continuum bound is square-root Hoelder; on a
+    finite grid the decay steepens towards linear once e_min - z drops below
+    the grid gap, so the fitted exponent is reported rather than a constant.
     """
+    if pot.is_empty():
+        raise ZeroPotentialError("continuity exponent of the zero potential")
     geo = band_geometry(m, k)
     diag = dispersion_on_grid(m, k, grid)
     if diag.min() <= geo.e_min:
         raise PreconditionError(
             "grid samples must sit strictly above the analytic band bottom"
         )
-    g_thr = build_bs(m, k, pot, geo.e_min, grid).matrix
     deltas = schedule.deltas()
-    norms = []
-    for z in schedule.points(geo.e_min):
-        g_z = build_bs(m, k, pot, z, grid).matrix
-        norms.append(float(np.linalg.norm(g_thr - g_z, 2)))
+    norms = [
+        bs_difference_norm(m, k, pot, geo.e_min, z, grid)
+        for z in schedule.points(geo.e_min)
+    ]
     slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
     return ContinuityReport(tuple(deltas), tuple(norms), slope)

@@ -29,7 +29,7 @@ from .model import (
     Quasimomentum,
     load_potential,
 )
-from .operators import FiberPotential, fiber_potential
+from .operators import FiberPotential, fiber_count_below, fiber_potential, weyl_bracket
 from .parallel import parallel_map
 from .spectral import (
     count_above,
@@ -127,6 +127,8 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         k_list.append(_quasimomentum(_parse_triple(trip)))
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     for name in ("tie_tol", "unit_tol", "overlap_tol", "pos_tol"):
         val = getattr(args, name)
         if val is not None and val <= 0.0:
@@ -233,7 +235,7 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 def _suite_counting(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    trials = cfg.trials or 200
+    trials = 200 if cfg.trials is None else cfg.trials
     failures = []
     for t in range(trials):
         dim = int(rng.integers(2, 51))
@@ -248,7 +250,7 @@ def _suite_counting(cfg: RunConfig) -> dict:
 
 def _suite_bs(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    trials = cfg.trials or 50
+    trials = 50 if cfg.trials is None else cfg.trials
     sizes = (4, 6, 8)
     cases = []
     ok = True
@@ -270,14 +272,14 @@ def _suite_bs(cfg: RunConfig) -> dict:
 def _suite_threshold(cfg: RunConfig) -> dict:
     records = []
     ok = True
-    ks = _require_k(cfg)
-    v = fiber_potential(cfg.potential, cfg.grid)
-    for k in ks:
+    for k in _require_k(cfg):
         tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
         geo = band_geometry(cfg.masses, k)
-        eigs = fiber_eigenvalues(cfg.masses, k, v)
-        tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
-        direct = count_below(geo.e_min, eigs, tol)
+        tol = cfg.tie_tol
+        if tol is None:
+            tol = default_tie_tol(weyl_bracket(cfg.masses, k, cfg.potential))
+        # count_below(e_min, spec H, tol) without the dense H
+        direct = fiber_count_below(cfg.masses, k, cfg.potential, geo.e_min - tol, cfg.grid)
         match = (not tc.divergent) and tc.stabilized == direct
         records.append(
             {"k": list(k.components), "counts": list(tc.counts),
@@ -291,11 +293,9 @@ def _suite_threshold(cfg: RunConfig) -> dict:
 def _suite_neraven(cfg: RunConfig) -> dict:
     records = []
     ok = True
-    ks = _require_k(cfg)
-    v = fiber_potential(cfg.potential, cfg.grid)
-    for k in ks:
+    for k in _require_k(cfg):
         rep = analysis.verify_neraven(cfg.masses, k, cfg.potential, cfg.grid,
-                                      tie_tol=cfg.tie_tol, fiber=v)
+                                      tie_tol=cfg.tie_tol)
         records.append({"k": list(k.components), **_jsonable(rep), "pass": rep.all_ok})
         ok = ok and rep.all_ok
     return {"records": records, "pass": ok}
@@ -320,7 +320,8 @@ def _suite_positivity(cfg: RunConfig) -> dict:
     ks = list(cfg.k_list)
     if not ks:
         rng = np.random.default_rng(cfg.seed)
-        ks = [sampling.random_quasimomentum(rng) for _ in range(cfg.trials or 20)]
+        trials = 20 if cfg.trials is None else cfg.trials
+        ks = [sampling.random_quasimomentum(rng) for _ in range(trials)]
     rep = analysis.positivity_check(cfg.masses, cfg.potential, ks, cfg.grid, cfg.pos_tol)
     return {**_jsonable(rep), "pass": rep.all_ok}
 

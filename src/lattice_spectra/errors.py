@@ -27,7 +27,8 @@ class NegativePotentialError(InputError):
 
 
 class ZNotBelowBandError(InputError):
-    """Spectral parameter z is not below the grid-sampled dispersion."""
+    """Spectral parameter z is not below the grid-sampled dispersion (or, for
+    a count above the band, not above it)."""
 
 
 class ZeroPotentialError(InputError):

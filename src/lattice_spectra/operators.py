@@ -7,13 +7,29 @@ on the position box, so the only approximation anywhere is finite volume.
 The ``build_*`` matrices are real symmetric and dense, O(N^6) in memory, so
 they stay at desk scale (N <= 14) and serve as the reference; a dense
 build whose 8 N^6 bytes exceed the machine's physical memory is refused
-before it allocates.  The nonzero Birman-Schwinger spectrum comes from an
-r x r Gram matrix instead (``bs_support_eigenvalues``), whose cost is
-O(N^3) and which reaches N = 128.
+before it allocates.
 
-Library eigensolves of H(k) go through ``fiber_potential``: V does not
-depend on k, so it is built once per (potential, grid) and shared
-read-only across k and worker threads.  The potential is even, so V
+V has rank r, the number of potential sites, so the questions the theorems
+ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
+K(q) sampled on the grid (built from the three axis factors of E) into the
+r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost, up to N = 128:
+
+* with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
+  (``bs_support_eigenvalues``);
+* with K = 1/(E - z) and z outside the sampled band, the number of
+  eigenvalues of H(k) below (``fiber_count_below``) or above
+  (``fiber_count_above``) z, from the inertia of S - G~(z) with
+  S = diag(sgn v), by Haynsworth inertia additivity;
+* with K = 1/(E - z0) - 1/(E - z), the norm of G(k, z0) - G(k, z)
+  (``bs_difference_norm``).
+
+``weyl_bracket`` bounds the spectrum of H(k) without solving it, and sets
+the default tie band of those counts.
+
+Library eigensolves of H(k), which list every eigenvalue and stay dense,
+go through ``fiber_potential``: V does not depend on k, so it is built
+once per (potential, grid) and shared read-only across k and worker
+threads.  The potential is even, so V
 commutes with the parity q -> -q.  On a grid closed under parity (offset
 0 or 1/2), whenever the sampled dispersion is even too (equal masses, or
 k = 0), H(k) is handed to the eigensolver as its even and odd blocks of
@@ -25,7 +41,9 @@ dispersion (unequal masses at k != 0) never holds them.
 Birman-Schwinger operators are positive semidefinite.  Both routes to
 their spectrum, the dense ``build_bs`` and the Gram ``bs_support_eigenvalues``,
 refuse a smallest eigenvalue below -PSD_TOL * max(1, largest |eigenvalue|)
-with ``NumericalFailure``; rounding stays far above that floor.
+with ``NumericalFailure``; rounding stays far above that floor.  The
+inertia counts apply the same floor to G~(z) below the band and to -G~(z)
+above it.
 """
 
 from __future__ import annotations
@@ -38,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import dispersion_on_grid
+from .dispersion import band_geometry, dispersion_on_grid
 from .errors import (
     DenseTooLargeError,
     GridTooSmallError,
@@ -322,6 +340,69 @@ def build_bs(
     return GridOperator(g, grid, "BS")
 
 
+def _band_samples(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> np.ndarray:
+    """E(q) over the grid as an N x N x N array, summed from its axis factors
+    e_j(q_j) = (1 - cos(k_j/2 + q_j)) / m1 + (1 - cos(k_j/2 - q_j)) / m2."""
+    a = grid.axis_nodes()
+    e1, e2, e3 = (
+        (1.0 - np.cos(0.5 * kj + a)) / m.m1 + (1.0 - np.cos(0.5 * kj - a)) / m.m2
+        for kj in k.components
+    )
+    return e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
+
+
+def _resolvent(
+    m: MassPair, k: Quasimomentum, grid: MomentumGrid, z: float, above: bool = False
+) -> np.ndarray:
+    """1 / (E - z) over the grid, N x N x N, for z below every sample of E
+    (or above every one); otherwise ZNotBelowBandError."""
+    resolvent = _band_samples(m, k, grid)
+    edge = float(resolvent.max() if above else resolvent.min())
+    if (z <= edge) if above else (z >= edge):
+        side = "above the grid-sampled dispersion maximum" if above else (
+            "below the grid-sampled dispersion minimum")
+        raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
+    resolvent -= z
+    np.reciprocal(resolvent, out=resolvent)  # in place
+    return resolvent
+
+
+def _support_gram(kernel: np.ndarray, pot: Potential, grid: MomentumGrid) -> np.ndarray:
+    """r x r Hermitian matrix sqrt|v(x) v(y)| T_K(y - x) over the sorted sites.
+
+    T_K(u) = (1/N^3) sum_n exp(i (q_n, u)) K(q_n) for the N x N x N kernel
+    array K.  exp(i (q, u)) is a product of three one-axis phases, so T_K is
+    computed for every needed difference at once by contracting K against
+    the per-axis phase vectors, one axis at a time.  Each axis has at most
+    4R + 1 distinct differences (R the support radius), so the cost is
+    O(N^3 |U|) multiply-adds and the memory O(N^3) reals; no N^3 x r phase
+    matrix and no N^3 x 3 node array is built.  The potential is nonempty.
+    """
+    a = grid.axis_nodes()
+    sites = pot.sorted_sites()
+    s = np.array(sites)  # (r, 3)
+    diff = s[None, :, :] - s[:, None, :]  # (r, r, 3): y - x
+    u1, u2, u3 = (np.unique(diff[..., j]) for j in range(3))
+    # axis 3 as one real matmul against [cos | sin] of its phases, then the
+    # two small complex contractions over axes 2 and 1
+    n, w = grid.n_per_dim, len(u3)
+    ang = np.outer(a, u3)
+    part = kernel.reshape(n * n, n) @ np.hstack([np.cos(ang), np.sin(ang)])
+    part = (part[:, :w] + 1j * part[:, w:]).reshape(n, n, w)
+    p1, p2 = np.exp(1j * np.outer(a, u1)), np.exp(1j * np.outer(a, u2))
+    green = np.einsum("abw,bv,au->uvw", part, p2, p1, optimize=True) / grid.dim
+    gram = green[
+        np.searchsorted(u1, diff[..., 0]),
+        np.searchsorted(u2, diff[..., 1]),
+        np.searchsorted(u3, diff[..., 2]),
+    ]
+    # Hermitian with a genuinely complex part unless K is even in q (for the
+    # resolvent: equal masses or k = 0); eigvalsh handles the complex case
+    root = np.sqrt([abs(pot.entries[t]) for t in sites])
+    gram = root[:, None] * gram * root[None, :]
+    return 0.5 * (gram + gram.conj().T)
+
+
 def bs_support_eigenvalues(
     m: MassPair,
     k: Quasimomentum,
@@ -335,15 +416,9 @@ def bs_support_eigenvalues(
     eigenvalues equal those of the r x r matrix with entries
     sqrt(v(x) v(y)) T(y - x), where
     T(u) = (1/N^3) sum_n exp(i (q_n, u)) / (E(q_n) - z)
-    is the lattice Green's function of the grid at site difference u.
-
-    Both factors split per axis: E(q) = e_1(q_1) + e_2(q_2) + e_3(q_3) and
-    exp(i (q, u)) is a product of three one-axis phases.  So T is computed
-    for every needed difference at once by contracting the N x N x N array
-    1/(E - z) against the per-axis phase vectors, one axis at a time.  Each
-    axis has at most 4R + 1 distinct differences (R the support radius), so
-    the cost is O(N^3 |U|) multiply-adds and the memory O(N^3) reals; no
-    N^3 x r phase matrix and no N^3 x 3 node array is built.
+    is the lattice Green's function of the grid at site difference u
+    (``_support_gram`` with the kernel 1/(E - z), built from the three
+    axis factors of E).
 
     G is positive semidefinite, so a Gram eigenvalue below the PSD_TOL
     floor raises NumericalFailure, as in ``build_bs``.
@@ -351,40 +426,106 @@ def bs_support_eigenvalues(
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     _require_grid_fits(pot, grid)
-    a = grid.axis_nodes()
-    e1, e2, e3 = (
-        (1.0 - np.cos(0.5 * kj + a)) / m.m1 + (1.0 - np.cos(0.5 * kj - a)) / m.m2
-        for kj in k.components
-    )
-    resolvent = e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
-    e_low = float(resolvent.min())
-    if z >= e_low:
-        raise ZNotBelowBandError(
-            f"z={z} is not below the grid-sampled dispersion minimum {e_low}"
-        )
-    resolvent -= z
-    np.reciprocal(resolvent, out=resolvent)  # 1 / (E - z), in place
-    sites = pot.sorted_sites()
-    if not sites:
+    resolvent = _resolvent(m, k, grid, z)
+    if pot.is_empty():
         return np.zeros(0)
-    s = np.array(sites)  # (r, 3)
-    diff = s[None, :, :] - s[:, None, :]  # (r, r, 3): y - x
-    u1, u2, u3 = (np.unique(diff[..., j]) for j in range(3))
-    # axis 3 as one real matmul against [cos | sin] of its phases, then the
-    # two small complex contractions over axes 2 and 1
-    n, w = grid.n_per_dim, len(u3)
-    ang = np.outer(a, u3)
-    part = resolvent.reshape(n * n, n) @ np.hstack([np.cos(ang), np.sin(ang)])
-    part = (part[:, :w] + 1j * part[:, w:]).reshape(n, n, w)
-    p1, p2 = np.exp(1j * np.outer(a, u1)), np.exp(1j * np.outer(a, u2))
-    green = np.einsum("abw,bv,au->uvw", part, p2, p1, optimize=True) / grid.dim
-    gram = green[
-        np.searchsorted(u1, diff[..., 0]),
-        np.searchsorted(u2, diff[..., 1]),
-        np.searchsorted(u3, diff[..., 2]),
-    ]
-    # Hermitian with a genuinely complex part unless the dispersion is even
-    # in q (equal masses or k = 0); eigvalsh handles the complex case
-    root = np.sqrt([pot.entries[t] for t in sites])
-    gram = root[:, None] * gram * root[None, :]
-    return _require_psd(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)))
+    return _require_psd(np.linalg.eigvalsh(_support_gram(resolvent, pot, grid)))
+
+
+def bs_difference_norm(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z0: float,
+    z: float,
+    grid: MomentumGrid,
+) -> float:
+    """||G(k, z0) - G(k, z)||_2 for z < z0 below the grid-sampled band.
+
+    G(k, z0) - G(k, z) = V^{1/2} [(H0 - z0)^{-1} - (H0 - z)^{-1}] V^{1/2},
+    and the middle factor is the positive diagonal
+    (z0 - z) / ((E - z0)(E - z)), so the difference is positive
+    semidefinite and its 2-norm is the top eigenvalue of the Gram with that
+    kernel (written as a product, so nothing cancels), checked PSD.
+    """
+    if not pot.is_nonnegative():
+        raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
+    _require_grid_fits(pot, grid)
+    e = _band_samples(m, k, grid)
+    e_low = float(e.min())
+    if not z < z0 < e_low:
+        raise ZNotBelowBandError(
+            f"need z={z} < z0={z0} < the grid-sampled dispersion minimum {e_low}"
+        )
+    if pot.is_empty():
+        return 0.0
+    kernel = (z0 - z) / ((e - z0) * (e - z))
+    return float(_require_psd(np.linalg.eigvalsh(_support_gram(kernel, pot, grid)))[-1])
+
+
+def _count_outside_band(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z: float,
+    grid: MomentumGrid,
+    above: bool,
+) -> int:
+    _require_grid_fits(pot, grid)
+    resolvent = _resolvent(m, k, grid, z, above)
+    if pot.is_empty():
+        return 0
+    gram = _support_gram(resolvent, pot, grid)
+    _require_psd(np.linalg.eigvalsh(-gram if above else gram))
+    signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
+    inertia = np.linalg.eigvalsh(np.diag(signs) - gram)
+    if above:
+        return int(np.count_nonzero(inertia > 0.0) - np.count_nonzero(signs > 0.0))
+    return int(np.count_nonzero(inertia < 0.0) - np.count_nonzero(signs < 0.0))
+
+
+def fiber_count_below(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z: float,
+    grid: MomentumGrid,
+) -> int:
+    """n_-(z, H(k)), the eigenvalues of H(k) strictly below z, for z below
+    the grid-sampled band, from an r x r problem (r the number of sites).
+
+    V = P D P* with D = diag(v) on the sites and P the N^3 x r plane waves
+    of the sites over N^{3/2}, so P* P = I when N >= 2R + 1.  With
+    A = H0(k) - z positive definite, the Haynsworth inertia additivity of
+    [[A, P], [P*, D^{-1}]] over its two Schur complements H(k) - z and
+    D^{-1} - P* A^{-1} P gives n_-(z, H) = n_-(S - G~(z)) - #{v < 0}, where
+    S - G~ = |D|^{1/2} (D^{-1} - P* A^{-1} P) |D|^{1/2} is a congruent
+    copy, S = diag(sgn v) and G~(z) is the Gram with weights |v| and
+    kernel 1/(E - z).  G~ is positive semidefinite below the band and is
+    checked against the PSD_TOL floor.
+    """
+    return _count_outside_band(m, k, pot, z, grid, above=False)
+
+
+def fiber_count_above(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z: float,
+    grid: MomentumGrid,
+) -> int:
+    """n_+(z, H(k)), the eigenvalues of H(k) strictly above z, for z above
+    the grid-sampled band: n_+(S - G~(z)) - #{v > 0}, as in
+    ``fiber_count_below`` with A = H0(k) - z negative definite.  There
+    -G~(z) is positive semidefinite and is checked against the PSD_TOL floor.
+    """
+    return _count_outside_band(m, k, pot, z, grid, above=True)
+
+
+def weyl_bracket(m: MassPair, k: Quasimomentum, pot: Potential) -> tuple[float, float]:
+    """Interval [e_min - max(v, 0), e_max - min(v, 0)] that holds the spectrum
+    of H(k) on every grid, by Weyl's inequality: the grid samples of E lie
+    in [e_min, e_max] and the spectrum of V is the values of v-hat and 0."""
+    geo = band_geometry(m, k)
+    values = [0.0, *pot.entries.values()]
+    return geo.e_min - max(values), geo.e_max - min(values)

@@ -1,5 +1,6 @@
 """Tests for the theorem-level analysis operations."""
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from lattice_spectra import (
     critical_coupling,
     default_tie_tol,
     dispersion_on_grid,
-    fiber_potential,
     positivity_check,
     resonance_analysis,
     threshold_count,
@@ -32,7 +32,7 @@ from lattice_spectra import (
     verify_existence,
     verify_neraven,
 )
-from lattice_spectra import analysis, operators
+from lattice_spectra import analysis, cli, operators
 from lattice_spectra.cli import main
 from lattice_spectra.errors import NumericalFailure, PreconditionError, ZeroPotentialError
 
@@ -301,14 +301,24 @@ class TestNeraven:
         assert rep.rhs == 0
         assert rep.holds
 
-    def test_shared_fiber_potential(self):
-        pot, grid = point_potential(20.0), MomentumGrid(8)
-        fiber = fiber_potential(pot, grid)
-        assert verify_neraven(M11, K0, pot, grid, fiber=fiber) == verify_neraven(
-            M11, K0, pot, grid
-        )
-        with pytest.raises(ValueError):
-            verify_neraven(M11, K0, point_potential(1.0), grid, fiber=fiber)
+    def test_grid_suites_build_no_dense_matrix(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix build")
+
+        for module in (analysis, cli, operators):
+            for name in ("fiber_potential", "build_v", "build_h", "build_h0"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        path = tmp_path / "pot.json"
+        path.write_text('{"sites": [{"s": [0, 0, 0], "v": 3.6}, '
+                        '{"s": [0, 0, 1], "v": 0.86}, {"s": [0, 1, 0], "v": 0.79}]}')
+        ks = ["--k=-1.09,-2.4,-0.77", "--k=-0.13,-1.5,-0.12",
+              f"--k={math.pi!r},{math.pi!r},{math.pi!r}"]
+        code = main(["verify", "--suite", "threshold,neraven", "--grid", "10",
+                     "--potential", str(path), *ks])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["pass"] is True
+        assert [r["direct_n_below"] for r in doc["threshold"]["records"]] == [1, 1, 5]
 
 
 class TestCheksiz:
@@ -343,3 +353,20 @@ class TestContinuity:
         assert len(rep.norms) == 7
         assert list(rep.norms) == sorted(rep.norms, reverse=True)
         assert rep.exponent >= 0.45
+
+    def test_zero_potential_rejected(self):
+        with pytest.raises(ZeroPotentialError):
+            continuity_exponent(M11, Quasimomentum(1.2, 0.4, -0.9), Potential({}),
+                                MomentumGrid(6))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_norms_match_dense_difference(self, n):
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0, (0, 1, -1): 0.4})
+        m, k = MassPair(1.0, 1.7), Quasimomentum(1.2, 0.4, -0.9)
+        grid = MomentumGrid(n)
+        rep = continuity_exponent(m, k, pot, grid)
+        e_min = band_geometry(m, k).e_min
+        g_thr = build_bs(m, k, pot, e_min, grid).matrix
+        dense = [np.linalg.norm(g_thr - build_bs(m, k, pot, e_min - d, grid).matrix, 2)
+                 for d in rep.deltas]
+        assert np.allclose(rep.norms, dense, rtol=1e-9, atol=0.0)

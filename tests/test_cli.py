@@ -278,6 +278,14 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         assert ENV_VAR in err
 
+    @pytest.mark.parametrize("suite", ["counting", "bs", "positivity"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, capsys, point_pot_file, suite, trials):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials,
+                             "--potential", point_pot_file)
+        assert code == 2 and out == ""
+        assert "--trials must be >= 1" in err
+
     def test_bad_k_path(self, capsys):
         code, _, _ = run(capsys, "band", "--k-path", "0,0,0:1,1,1")
         assert code == 2

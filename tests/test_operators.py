@@ -22,10 +22,16 @@ from lattice_spectra import (
     build_h0,
     build_v,
     build_vhalf,
+    count_above,
+    count_below,
+    default_tie_tol,
     dispersion_on_grid,
+    fiber_count_above,
+    fiber_count_below,
     fiber_eigenvalues,
     fiber_potential,
     potential_spectrum,
+    weyl_bracket,
 )
 from lattice_spectra import operators
 from lattice_spectra.errors import (
@@ -364,3 +370,69 @@ class TestFiberEigenvalues:
         fv = fiber_potential(point_potential(2.0), grid)
         assert fv.mirror is None
         assert [h.shape for h in fv.blocks(MassPair(1, 1), K0)] == [(125, 125)]
+
+
+@st.composite
+def inertia_instances(draw):
+    """Equal or unequal masses, random k, a signed potential of radius 1 or 2
+    (values up to 12 in size, so that both band edges bind), and a grid
+    with N in 4..8, N >= 2R + 1, at offset 0, 1/4 or 1/2."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * radius + 1), 8))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    m1 = draw(st.floats(0.4, 3.0))
+    m2 = draw(st.one_of(st.just(m1), st.floats(0.4, 3.0)))
+    k = Quasimomentum(*draw(st.tuples(*[st.floats(-math.pi, math.pi)] * 3)))
+    span = st.integers(-radius, radius)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(-12.0, 12.0),
+                        min_size=1, max_size=5)
+    )
+    pot = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    return MassPair(m1, m2), k, pot, MomentumGrid(n, offset)
+
+
+class TestFiberCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(inertia_instances())
+    def test_match_dense_counts(self, inst):
+        m, k, pot, grid = inst
+        eigs = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        lo, hi = weyl_bracket(m, k, pot)
+        scale = max(abs(lo), abs(hi))
+        slack = 1e-12 * max(1.0, scale)  # rounding of the dense eigensolver
+        assert scale + slack >= float(np.abs(eigs).max())
+        assert lo - slack <= eigs[0] and eigs[-1] <= hi + slack
+        tol = default_tie_tol(eigs)
+        geo = band_geometry(m, k)
+        assert fiber_count_below(m, k, pot, geo.e_min - tol, grid) == count_below(
+            geo.e_min, eigs, tol)
+        assert fiber_count_above(m, k, pot, geo.e_max + tol, grid) == count_above(
+            geo.e_max, eigs, tol)
+
+    def test_both_signs_counted(self):
+        # a deep well binds below the band and a high barrier above it
+        pot = Potential({(0, 0, 0): 20.0, (1, 0, 0): -15.0})
+        m, k, grid = MassPair(1.0, 2.0), Quasimomentum(0.3, -1.1, 2.0), MomentumGrid(5)
+        eigs = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        geo = band_geometry(m, k)
+        below = fiber_count_below(m, k, pot, geo.e_min, grid)
+        above = fiber_count_above(m, k, pot, geo.e_max, grid)
+        assert below == count_below(geo.e_min, eigs) >= 1
+        assert above == count_above(geo.e_max, eigs) >= 1
+
+    def test_empty_potential(self):
+        m, grid = MassPair(1.0, 1.0), MomentumGrid(4)
+        assert fiber_count_below(m, K0, Potential({}), -1.0, grid) == 0
+        assert fiber_count_above(m, K0, Potential({}), 13.0, grid) == 0
+
+    @pytest.mark.parametrize("edge", ["min", "max"])
+    def test_level_inside_band_rejected(self, edge):
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -1.0})
+        m, k, grid = MassPair(1.0, 2.0), Quasimomentum(0.3, -1.1, 2.0), MomentumGrid(6)
+        e = dispersion_on_grid(m, k, grid)
+        inside = [e.min() + 1e-9, 0.5 * (e.min() + e.max()), e.max() - 1e-9]
+        count = fiber_count_below if edge == "min" else fiber_count_above
+        for z in inside:
+            with pytest.raises(ZNotBelowBandError):
+                count(m, k, pot, z, grid)
