@@ -427,6 +427,15 @@ class NeravenReport:
         return ok
 
 
+def flat_band_level(m: MassPair, k: Quasimomentum) -> Optional[float]:
+    """6/m on the flat band, where H0(k) is 6/m times the identity (equal
+    masses at k = (pi, pi, pi)) and spec H(k) is 6/m minus the potential
+    spectrum exactly; None elsewhere."""
+    if m.equal_masses() and all(abs(kj - math.pi) <= 1e-12 for kj in k.components):
+        return 6.0 / m.m1
+    return None
+
+
 def verify_neraven(
     m: MassPair,
     k: Quasimomentum,
@@ -455,8 +464,8 @@ def verify_neraven(
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
     lo, hi = geo.e_min - edge_margin, geo.e_max + edge_margin
     scalar_case = None
-    if m.equal_masses() and all(abs(kj - math.pi) <= 1e-12 for kj in k.components):
-        level = 6.0 / m.m1
+    level = flat_band_level(m, k)
+    if level is not None:
         eigs_h = level - vspec
         lhs = count_below(lo, eigs_h, tol)
         n_above = count_above(hi, eigs_h, tol)

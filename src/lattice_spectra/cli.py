@@ -29,7 +29,13 @@ from .model import (
     Quasimomentum,
     load_potential,
 )
-from .operators import FiberPotential, fiber_count_below, fiber_potential, weyl_bracket
+from .operators import (
+    FiberPotential,
+    fiber_count_below,
+    fiber_potential,
+    potential_spectrum,
+    weyl_bracket,
+)
 from .parallel import parallel_map
 from .spectral import (
     count_above,
@@ -164,7 +170,7 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
@@ -278,8 +284,14 @@ def _suite_threshold(cfg: RunConfig) -> dict:
         tol = cfg.tie_tol
         if tol is None:
             tol = default_tie_tol(weyl_bracket(cfg.masses, k, cfg.potential))
-        # count_below(e_min, spec H, tol) without the dense H
-        direct = fiber_count_below(cfg.masses, k, cfg.potential, geo.e_min - tol, cfg.grid)
+        level = analysis.flat_band_level(cfg.masses, k)
+        if level is None:
+            # count_below(e_min, spec H, tol) without the dense H
+            direct = fiber_count_below(
+                cfg.masses, k, cfg.potential, geo.e_min - tol, cfg.grid)
+        else:
+            exact = level - potential_spectrum(cfg.potential, cfg.grid)
+            direct = count_below(geo.e_min, exact, tol)
         match = (not tc.divergent) and tc.stabilized == direct
         records.append(
             {"k": list(k.components), "counts": list(tc.counts),

@@ -27,16 +27,20 @@ r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost, up to N = 128:
 the default tie band of those counts.
 
 Library eigensolves of H(k), which list every eigenvalue and stay dense,
-go through ``fiber_potential``: V does not depend on k, so it is built
-once per (potential, grid) and shared read-only across k and worker
-threads.  The potential is even, so V
+go through ``fiber_potential``: V does not depend on k, so its N^3 x r
+plane-wave factor, V = C diag(w) C^T + S diag(w') S^T with cosine and
+sine columns C and S, is built once per (potential, grid) and shared
+read-only across k and worker threads.  The N^3 x N^3 V is not formed
+there; ``_convolution_matrix`` serves only ``build_v``, ``build_vhalf``
+and ``build_bs``, the independent oracles.  The potential is even, so V
 commutes with the parity q -> -q.  On a grid closed under parity (offset
 0 or 1/2), whenever the sampled dispersion is even too (equal masses, or
 k = 0), H(k) is handed to the eigensolver as its even and odd blocks of
 about N^3 / 2 each, a quarter of the dense work; otherwise as one
-N^3 x N^3 block.  The two blocks of V are gathered on the first call that
-needs them, once, under a lock, so a command that never meets an even
-dispersion (unequal masses at k != 0) never holds them.
+N^3 x N^3 block.  C is even and S odd, so each block is its diagonal
+minus one rank-r product of rows of C or of S (of both for the full
+block), and is refused before it allocates when its 8 rows^2 bytes
+exceed physical memory.
 
 Birman-Schwinger operators are positive semidefinite.  Both routes to
 their spectrum, the dense ``build_bs`` and the Gram ``bs_support_eigenvalues``,
@@ -50,9 +54,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -96,12 +99,12 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _require_dense_fits(grid: MomentumGrid) -> None:
-    need = 8.0 * grid.dim**2
+def _require_dense_fits(rows: int, grid: MomentumGrid) -> None:
+    need = 8.0 * rows**2
     have = _physical_memory()
     if need > have:
         raise DenseTooLargeError(
-            f"a dense {grid.dim} x {grid.dim} matrix (grid N={grid.n_per_dim}) "
+            f"a dense {rows} x {rows} matrix (grid N={grid.n_per_dim}) "
             f"needs {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of "
             "physical memory"
         )
@@ -114,7 +117,7 @@ def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
     the node index difference mod N per axis (circulant structure); the
     grid offset cancels in q_m - q_n.
     """
-    _require_dense_fits(grid)
+    _require_dense_fits(grid.dim, grid)
     n = grid.n_per_dim
     d = np.arange(n)
     table = np.zeros((n, n, n))
@@ -137,7 +140,7 @@ def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
 
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     """Diagonal matrix of dispersion samples over the grid nodes."""
-    _require_dense_fits(grid)
+    _require_dense_fits(grid.dim, grid)
     diag = dispersion_on_grid(m, k, grid)
     return GridOperator(np.diag(diag), grid, "H0")
 
@@ -199,105 +202,115 @@ def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class FiberPotential:
-    """V of H(k) = H0(k) - V for one (potential, grid), with its parity blocks.
+    """V of H(k) = H0(k) - V for one (potential, grid), as its rank-r factor.
 
-    Built by ``fiber_potential``; every array is read-only.  When the grid
-    is closed under parity, ``mirror`` maps each node to the node of -q,
-    the even block acts on e_q at the fixed nodes (listed last in
-    ``even_nodes``) and (e_q + e_-q)/sqrt(2) at one representative q of
+    Built by ``fiber_potential``; every array is read-only.  With one
+    representative s of each pair of sites +-s (the origin first), c_s(q) =
+    cos(q.s) / N^{3/2} and s_s(q) = sin(q.s) / N^{3/2} over the nodes,
+    ``factor`` is the N^3 x r matrix [C | S] and ``weights`` holds
+    (w, w'), w = v(0) at the origin and 2 v(s) at the other pairs, w' the
+    same without the origin, so V = C diag(w) C^T + S diag(w') S^T.  The
+    first ``n_cos`` columns are C.
+
+    When the grid is closed under parity, ``mirror`` maps each node to the
+    node of -q, the even block acts on e_q at the fixed nodes (listed last
+    in ``even_nodes``) and (e_q + e_-q)/sqrt(2) at one representative q of
     each pair, and the odd block on (e_q - e_-q)/sqrt(2) at the pair
-    representatives ``odd_nodes``.  Otherwise ``mirror`` and the block
-    fields are None.  The blocks ``even`` and ``odd`` are gathered from V
-    on first access, once, under a lock shared by the worker threads.
+    representatives ``odd_nodes``.  C is even in q and S odd, so the even
+    block of V is built from ``even_factor``, the rows of C at
+    ``even_nodes`` (times sqrt(2) at the pairs), and the odd block from
+    ``odd_factor``, the rows of S at ``odd_nodes`` times sqrt(2).
+    Otherwise ``mirror`` and the parity fields are None.
     """
 
     potential: Potential
-    v: GridOperator
+    grid: MomentumGrid
+    factor: np.ndarray
+    weights: np.ndarray
+    n_cos: int
     mirror: Optional[np.ndarray] = None
     even_nodes: Optional[np.ndarray] = None
     odd_nodes: Optional[np.ndarray] = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
-    _parity_v: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
-
-    @property
-    def grid(self) -> MomentumGrid:
-        return self.v.grid
+    even_factor: Optional[np.ndarray] = None
+    odd_factor: Optional[np.ndarray] = None
 
     @property
     def even(self) -> Optional[np.ndarray]:
-        return self._parity_blocks()[0]
+        """Even block of V, formed from the factor on each access."""
+        if self.mirror is None:
+            return None
+        return _low_rank(self.even_factor, self.weights[: self.n_cos], self.grid)
 
     @property
     def odd(self) -> Optional[np.ndarray]:
-        return self._parity_blocks()[1]
-
-    def _parity_blocks(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Odd block of V, formed from the factor on each access."""
         if self.mirror is None:
-            return None, None
-        with self._lock:
-            if self._parity_v is None:
-                # the one field written after construction, past the freeze
-                object.__setattr__(self, "_parity_v", _gather_parity_blocks(
-                    self.v.matrix, self.mirror, self.even_nodes, self.odd_nodes
-                ))
-        return self._parity_v
+            return None
+        return _low_rank(self.odd_factor, self.weights[self.n_cos :], self.grid)
 
-    def blocks(self, m: MassPair, k: Quasimomentum) -> list[np.ndarray]:
+    def blocks(self, m: MassPair, k: Quasimomentum) -> Iterator[np.ndarray]:
         """H(k) as the diagonal blocks whose spectra together make up its own.
 
         Two parity blocks when the grid is parity-closed and the sampled
         dispersion is even (always for equal masses or at k = 0), else the
-        full matrix.
+        full matrix.  Each is its diagonal minus one rank-r product, built
+        when the iteration reaches it.
         """
         e = dispersion_on_grid(m, k, self.grid)
-        parts = [(e, self.v.matrix)]
+        parts = [(e, self.factor, self.weights)]
         if self.mirror is not None:
             flip = e[self.mirror]
             if np.abs(e - flip).max() <= PARITY_TOL * max(1.0, float(np.abs(e).max())):
                 e = 0.5 * (e + flip)
-                parts = [(e[self.even_nodes], self.even), (e[self.odd_nodes], self.odd)]
-        out = []
-        for diag, v in parts:
-            h = -v
+                parts = [
+                    (e[self.even_nodes], self.even_factor, self.weights[: self.n_cos]),
+                    (e[self.odd_nodes], self.odd_factor, self.weights[self.n_cos :]),
+                ]
+        for diag, f, w in parts:
+            h = _low_rank(f, -w, self.grid)
             h[np.diag_indices_from(h)] += diag
-            out.append(h)
-        return out
+            yield h
 
 
-def _gather_parity_blocks(
-    mat: np.ndarray, mirror: np.ndarray, even_nodes: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of V (see ``FiberPotential``), read-only."""
-    # <e|V|e'> for the symmetric combinations is V(q, q') + V(q, -q') scaled
-    # by c c', with c = 1 at pairs and 1/sqrt(2) at fixed nodes, where the
-    # two terms coincide
-    c = np.where(np.arange(len(even_nodes)) < len(pairs), 1.0, math.sqrt(0.5))
-    even = mat[np.ix_(even_nodes, even_nodes)]
-    even += mat[np.ix_(even_nodes, mirror[even_nodes])]
-    even *= c[:, None]
-    even *= c[None, :]
-    odd = mat[np.ix_(pairs, pairs)]
-    odd -= mat[np.ix_(pairs, mirror[pairs])]
-    even.setflags(write=False)
-    odd.setflags(write=False)
-    return even, odd
+def _low_rank(f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
+    """f diag(w) f^T, refused before it allocates when it does not fit."""
+    _require_dense_fits(f.shape[0], grid)
+    return (f * w) @ f.T
+
+
+def _plane_wave_factor(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """[C | S], (w, w') and the number of columns of C (see ``FiberPotential``)."""
+    origin = (0, 0, 0)
+    pairs = [s for s in pot.sorted_sites() if s > origin]
+    ang = grid.nodes() @ np.array(pairs, dtype=float).reshape(-1, 3).T
+    w_sin = [2.0 * pot.entries[s] for s in pairs]
+    cos, w_cos = [np.cos(ang)], list(w_sin)
+    if origin in pot.entries:
+        cos.insert(0, np.ones((grid.dim, 1)))
+        w_cos.insert(0, pot.entries[origin])
+    factor = np.hstack([*cos, np.sin(ang)]) / math.sqrt(grid.dim)
+    return factor, np.array(w_cos + w_sin), len(w_cos)
 
 
 def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
-    """Build V once, with the parity node lists when the grid allows."""
-    v = build_v(pot, grid)
-    v.matrix.setflags(write=False)
+    """Build the plane-wave factor of V once (see ``FiberPotential``), with
+    the parity node lists and factor rows when the grid is closed under
+    parity.  Nothing of size N^3 x N^3 is built."""
+    _require_grid_fits(pot, grid)
+    factor, weights, n_cos = _plane_wave_factor(pot, grid)
     mirror = _parity_map(grid)
-    if mirror is None:
-        return FiberPotential(pot, v)
-    nodes = np.arange(grid.dim)
-    pairs = nodes[nodes < mirror]
-    even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
-    for a in (mirror, even_nodes, pairs):
+    parity = ()
+    if mirror is not None:
+        nodes = np.arange(grid.dim)
+        pairs = nodes[nodes < mirror]
+        even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+        scale = np.where(np.arange(len(even_nodes)) < len(pairs), math.sqrt(2.0), 1.0)
+        even_factor = factor[even_nodes, :n_cos] * scale[:, None]
+        odd_factor = factor[pairs, n_cos:] * math.sqrt(2.0)
+        parity = (mirror, even_nodes, pairs, even_factor, odd_factor)
+    for a in (factor, weights, *parity):
         a.setflags(write=False)
-    return FiberPotential(pot, v, mirror, even_nodes, pairs)
+    return FiberPotential(pot, grid, factor, weights, n_cos, *parity)
 
 
 # Relative floor below which a Birman-Schwinger eigenvalue fails the

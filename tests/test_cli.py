@@ -10,8 +10,12 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import lattice_spectra
-from lattice_spectra.cli import main
+from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, build_h, operators
+from lattice_spectra.cli import _jsonable, main
+from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
 
 
@@ -27,6 +31,23 @@ def weak_pot_file(tmp_path):
     path = tmp_path / "weak.json"
     path.write_text('{"sites": [{"s": [0, 0, 0], "v": 1.0}]}')
     return str(path)
+
+
+@pytest.fixture
+def five_site_pot_file(tmp_path):
+    path = tmp_path / "pot5.json"
+    path.write_text('{"sites": [{"s": [0, 0, 0], "v": 3.6}, '
+                    '{"s": [0, 0, 1], "v": 0.86}, {"s": [0, 1, 0], "v": 0.79}]}')
+    return str(path)
+
+
+def refuse_dense_v(monkeypatch):
+    """Make the N^3 x N^3 V builders raise for the rest of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense V build")
+
+    for name in ("build_v", "_convolution_matrix"):
+        monkeypatch.setattr(operators, name, refuse)
 
 
 def run(capsys, *argv):
@@ -89,6 +110,24 @@ class TestSpectrum:
         assert code == 0
         assert len(json.loads(out)["spectrum"]) == 3
 
+    @pytest.mark.parametrize("masses, k", [("1,1", "0.3,0.3,0.3"), ("1,2.5", "0.3,-1.1,2")])
+    def test_dense_path_builds_no_v(self, capsys, monkeypatch, five_site_pot_file, masses, k):
+        with open(five_site_pot_file, "rb") as fh:
+            pot = load_potential(fh)
+        m = MassPair(*(float(x) for x in masses.split(",")))
+        grid = MomentumGrid(10)
+        ref = np.linalg.eigvalsh(
+            build_h(m, Quasimomentum(*(float(x) for x in k.split(","))), pot, grid).matrix)
+        refuse_dense_v(monkeypatch)
+        code, out, _ = run(
+            capsys, "spectrum", "--masses", masses, "--potential", five_site_pot_file,
+            "--grid", "10", "--k", k,
+        )
+        assert code == 0
+        eigs = np.array(json.loads(out)["spectrum"][0]["eigenvalues"])
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.allclose(eigs, ref, rtol=0.0, atol=1e-12 * scale)
+
     def test_requires_potential(self, capsys):
         code, _, err = run(capsys, "spectrum", "--k", "0,0,0")
         assert code == 2
@@ -150,6 +189,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "bs", "--trials", "6")
         assert code == 0
         assert json.loads(out)["bs"]["pass"] is True
+
+    def test_bs_suite_builds_no_dense_v(self, capsys, monkeypatch):
+        refuse_dense_v(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "bs", "--trials", "6")
+        assert code == 0
+        assert json.loads(out)["bs"]["pass"] is True
+
+    def test_threshold_on_flat_band_below_sample_rounding(self, capsys, five_site_pot_file):
+        # the grid samples of the flat band fall 2e-15 below its level 6, far
+        # outside this tie band; the direct count comes from the exact spectrum
+        pi = repr(math.pi)
+        code, out, err = run(
+            capsys, "verify", "--suite", "threshold", "--grid", "6",
+            "--potential", five_site_pot_file, f"--k={pi},{pi},{pi}", "--tie-tol", "1e-20",
+        )
+        assert code == 0, err
+        assert json.loads(out)["threshold"]["records"][0]["direct_n_below"] == 5
 
     def test_neraven_suite(self, capsys, point_pot_file):
         code, out, _ = run(
@@ -303,3 +359,10 @@ class TestArgumentValidation:
         bad.write_text("{nope")
         code, _, _ = run(capsys, "spectrum", "--potential", str(bad), "--k", "0,0,0")
         assert code == 2
+
+
+class TestJsonable:
+    def test_arrays_become_plain_lists(self):
+        doc = _jsonable({"a": np.array([[0.5, -1.0]]), "b": np.arange(3), 2: np.float64(1.5)})
+        assert doc == {"a": [[0.5, -1.0]], "b": [0, 1, 2], "2": 1.5}
+        assert type(doc["a"][0][0]) is float and type(doc["b"][0]) is int

@@ -1,9 +1,10 @@
 """Tests for the finite-torus operator builders."""
 
+import dataclasses
 import math
 import sys
 import threading
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,38 +318,34 @@ class TestFiberEigenvalues:
         blocks = fv.blocks(MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))
         assert [h.shape for h in blocks] == [(grid.dim, grid.dim)]
 
-    @staticmethod
-    def _count_gathers(monkeypatch, delay=0.0):
+    def test_factor_built_once_in_fiber_potential(self, monkeypatch):
         calls = []
-        gather = operators._gather_parity_blocks
+        build = operators._plane_wave_factor
 
         def counted(*args):
-            calls.append(threading.get_ident())
-            time.sleep(delay)
-            return gather(*args)
+            calls.append(args)
+            return build(*args)
 
-        monkeypatch.setattr(operators, "_gather_parity_blocks", counted)
-        return calls
-
-    def test_parity_blocks_built_on_first_even_solve(self, monkeypatch):
-        calls = self._count_gathers(monkeypatch)
+        monkeypatch.setattr(operators, "_plane_wave_factor", counted)
         fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
+        assert len(calls) == 1
+        held = [fv.factor, fv.weights, fv.mirror, fv.even_nodes, fv.odd_nodes,
+                fv.even_factor, fv.odd_factor]
+        assert not any(a.flags.writeable for a in held)
         k = Quasimomentum(0.7, -1.9, 2.8)
-        fiber_eigenvalues(MassPair(1, 2.5), k, fv)
-        assert calls == []
-        fiber_eigenvalues(MassPair(1, 1), k, fv)
-        fiber_eigenvalues(MassPair(1, 2.5), K0, fv)
+        for m, q in [(MassPair(1, 2.5), k), (MassPair(1, 1), k), (MassPair(1, 2.5), K0)]:
+            fiber_eigenvalues(m, q, fv)
         assert len(calls) == 1
 
-    def test_parity_blocks_built_once_across_threads(self, monkeypatch):
-        calls = self._count_gathers(monkeypatch, delay=0.05)
+    def test_threads_share_one_fiber_potential(self):
         fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
         start = threading.Barrier(4)
         results = []
 
         def solve():
             start.wait(timeout=10)
-            results.append(fiber_eigenvalues(MassPair(1, 1), K0, fv))
+            results.append([fiber_eigenvalues(m, k, fv) for m, k in [
+                (MassPair(1, 1), K0), (MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))]])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -361,9 +358,46 @@ class TestFiberEigenvalues:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(calls) == 1
         assert len(results) == 4
-        assert all(np.array_equal(r, results[0]) for r in results)
+        assert all(np.array_equal(a, b) for r in results for a, b in zip(r, results[0]))
+
+    @pytest.mark.parametrize("n, offset", [(3, 0.0), (4, 0.0), (5, 0.25), (6, 0.5)])
+    def test_factor_reproduces_v(self, n, offset):
+        # V = C diag(w) C^T + S diag(w') S^T, and its parity blocks are those
+        # of the circulant V
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -0.5, (0, 1, 1): 0.75})
+        grid = MomentumGrid(n, offset)
+        fv = fiber_potential(pot, grid)
+        v = build_v(pot, grid).matrix
+        assert fv.factor.shape == (grid.dim, len(pot.entries))
+        f, w = fv.factor, fv.weights
+        assert np.allclose((f * w) @ f.T, v, rtol=0.0, atol=1e-14)
+        if fv.mirror is None:
+            return
+        # <e|V|e'> = c c' (V(q, q') + V(q, -q')), c = 1 at the pair
+        # representatives and 1/sqrt(2) at the fixed nodes
+        pairs, nodes = fv.odd_nodes, fv.even_nodes
+        c = np.where(np.arange(len(nodes)) < len(pairs), 1.0, math.sqrt(0.5))
+        even = v[np.ix_(nodes, nodes)] + v[np.ix_(nodes, fv.mirror[nodes])]
+        odd = v[np.ix_(pairs, pairs)] - v[np.ix_(pairs, fv.mirror[pairs])]
+        assert np.allclose(fv.even, np.outer(c, c) * even, rtol=0.0, atol=1e-14)
+        assert np.allclose(fv.odd, odd, rtol=0.0, atol=1e-14)
+
+    def test_holds_rank_r_arrays_and_peaks_below_one_dense_v(self):
+        pot = Potential({(0, 0, 0): 3.6, (0, 0, 1): 0.86, (0, 1, 0): 0.79})
+        grid, r = MomentumGrid(10), 5
+        tracemalloc.start()
+        try:
+            fv = fiber_potential(pot, grid)
+            fiber_eigenvalues(MassPair(1, 1), Quasimomentum(0.3, 0.3, 0.3), fv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = [getattr(fv, f.name) for f in dataclasses.fields(fv)]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        assert all(a.size <= grid.dim * r for a in arrays)
+        assert peak < 8 * grid.dim**2
 
     def test_quarter_offset_is_one_block(self):
         grid = MomentumGrid(5, 0.25)
