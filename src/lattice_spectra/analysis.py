@@ -48,10 +48,12 @@ class ZSchedule:
     steps: int = 7
 
     def __post_init__(self) -> None:
-        if self.delta0 <= 0.0:
-            raise ValueError("delta0 must be > 0")
+        # NaN fails every comparison, so each check is written to pass
+        # only a finite value in range
+        if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
+            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
         if not (0.0 < self.ratio < 1.0):
-            raise ValueError("ratio must be in (0, 1)")
+            raise ValueError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
 

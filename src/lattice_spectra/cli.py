@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -137,8 +138,8 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     for name in ("tie_tol", "unit_tol", "overlap_tol", "pos_tol"):
         val = getattr(args, name)
-        if val is not None and val <= 0.0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be > 0")
+        if val is not None and not (math.isfinite(val) and val > 0.0):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and > 0, got {val}")
     return RunConfig(
         masses=masses,
         potential=pot,

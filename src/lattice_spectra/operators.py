@@ -42,6 +42,22 @@ minus one rank-r product of rows of C or of S (of both for the full
 block), and is refused before it allocates when its 8 rows^2 bytes
 exceed physical memory.
 
+The diagonal of a block is often very degenerate: equal masses on the
+zone diagonal (E is symmetric in the three axes) or a direction with
+k_j = pi (E does not depend on q_j) leave levels of many nodes with the
+same E.  On a level of m nodes the block is e I minus a matrix of rank at
+most the block's rank r_b, so m - r_b of its eigenvalues equal e exactly.
+``FiberPotential.deflated_blocks`` splits those off before the solve
+(``_deflate``, the deflation step of the rank-one-update eigensolver of
+Bunch, Nielsen & Sorensen 1978): the m rows of the factor on a level are
+replaced by the r_b x r_b R of their QR factorization, an orthogonal
+change of basis inside the level, so each level keeps at most r_b rows.
+Levels are runs of sorted samples within PARITY_TOL of the scale of E;
+by Weyl, placing a run at its mean moves no eigenvalue by more than the
+run's spread.  A block whose levels are no longer than its rank (a
+generic k) passes through unchanged.  The memory guard still applies to
+the rows of the whole block.
+
 Birman-Schwinger operators are positive semidefinite.  Both routes to
 their spectrum, the dense ``build_bs`` and the Gram ``bs_support_eigenvalues``,
 refuse a smallest eigenvalue below -PSD_TOL * max(1, largest |eigenvalue|)
@@ -248,13 +264,14 @@ class FiberPotential:
             return None
         return _low_rank(self.odd_factor, self.weights[self.n_cos :], self.grid)
 
-    def blocks(self, m: MassPair, k: Quasimomentum) -> Iterator[np.ndarray]:
-        """H(k) as the diagonal blocks whose spectra together make up its own.
+    def _parts(
+        self, m: MassPair, k: Quasimomentum
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(diagonal, factor rows, weights) of each diagonal block of H(k).
 
         Two parity blocks when the grid is parity-closed and the sampled
         dispersion is even (always for equal masses or at k = 0), else the
-        full matrix.  Each is its diagonal minus one rank-r product, built
-        when the iteration reaches it.
+        full matrix.  A block is its diagonal minus f diag(w) f^T.
         """
         e = dispersion_on_grid(m, k, self.grid)
         parts = [(e, self.factor, self.weights)]
@@ -266,16 +283,107 @@ class FiberPotential:
                     (e[self.even_nodes], self.even_factor, self.weights[: self.n_cos]),
                     (e[self.odd_nodes], self.odd_factor, self.weights[self.n_cos :]),
                 ]
+        return parts
+
+    def blocks(self, m: MassPair, k: Quasimomentum) -> Iterator[np.ndarray]:
+        """H(k) as the diagonal blocks whose spectra together make up its own
+        (see ``_parts``), each built when the iteration reaches it."""
+        for diag, f, w in self._parts(m, k):
+            yield _block(diag, f, w, self.grid)
+
+    def deflated_blocks(
+        self, m: MassPair, k: Quasimomentum
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each block of H(k) with its degenerate levels deflated (``_deflate``),
+        as the reduced block and the eigenvalues split off from it.
+
+        Levels are runs of diagonal samples within PARITY_TOL of the scale
+        of E.  The memory guard applies to the rows of the whole block, so
+        deflation changes the cost of a solve but not which grids are
+        accepted.
+        """
+        parts = self._parts(m, k)
+        scale = max(float(np.abs(diag).max(initial=0.0)) for diag, _, _ in parts)
+        tol = PARITY_TOL * max(1.0, scale)
         for diag, f, w in parts:
-            h = _low_rank(f, -w, self.grid)
-            h[np.diag_indices_from(h)] += diag
-            yield h
+            _require_dense_fits(len(diag), self.grid)
+            diag, f, copies = _deflate(diag, f, tol)
+            yield _block(diag, f, w, self.grid), copies
+
+
+def _block(diag: np.ndarray, f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
+    """diag - f diag(w) f^T, refused before it allocates when it does not fit."""
+    h = _low_rank(f, -w, grid)
+    h[np.diag_indices_from(h)] += diag
+    return h
 
 
 def _low_rank(f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     """f diag(w) f^T, refused before it allocates when it does not fit."""
     _require_dense_fits(f.shape[0], grid)
     return (f * w) @ f.T
+
+
+def _long_runs(s: np.ndarray, tol: float, rank: int) -> Iterator[tuple[int, int]]:
+    """Runs [a, b) of the ascending samples s longer than rank.
+
+    The runs partition s greedily from the left: each starts at the first
+    sample after the previous one and takes every sample within tol of its
+    start, so no run spreads (last - first) beyond tol, however closely
+    the levels chain.  Only stretches longer than rank whose neighbouring
+    samples lie within tol can hold such a run, so only those are walked.
+    """
+    cut = np.flatnonzero(np.diff(s) > tol) + 1
+    starts = np.concatenate(([0], cut))
+    ends = np.concatenate((cut, [len(s)]))
+    wide = ends - starts > rank
+    for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+        while a < b:
+            end = a + int(np.searchsorted(s[a:b] - s[a], tol, side="right"))
+            if end - a > rank:
+                yield a, end
+            a = end
+
+
+def _deflate(
+    diag: np.ndarray, f: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the exactly known eigenvalues of diag - f diag(w) f^T off its
+    degenerate levels (the deflation of Bunch, Nielsen & Sorensen 1978).
+
+    On a level of m nodes with equal diagonal e, the block acts on the span
+    of their m unit vectors as e I - F W F^T, with F the m x r rows of f
+    there.  With F = Q R (R is r x r), the m - r directions orthogonal to
+    the columns of Q see no f at all, so they are eigenvectors with
+    eigenvalue e, and the level enters the rest of the block through the r
+    rows of R alone.  For every run of ``_long_runs`` longer than the rank
+    r this replaces its m rows of f by R, placed at the run's mean, and
+    splits off m - r copies of the mean.  The change of basis is orthogonal, and by
+    Weyl the mean moves no eigenvalue by more than the run's spread (at
+    most tol).
+
+    Returns (diag, f, copies): the kept nodes in their order followed by
+    the rows of R, and the copies.  Without such a run, diag and f are
+    returned as they came.
+    """
+    rank = f.shape[1]
+    order = np.argsort(diag, kind="stable")
+    s = diag[order]
+    keep = np.ones(len(diag), dtype=bool)
+    levels, rows, copies = [], [], []
+    for a, b in _long_runs(s, tol, rank):
+        run, level = order[a:b], float(s[a:b].mean())
+        keep[run] = False
+        rows.append(np.linalg.qr(f[run], mode="r"))
+        levels.append(np.full(rank, level))
+        copies.append(np.full(b - a - rank, level))
+    if not rows:
+        return diag, f, np.zeros(0)
+    return (
+        np.concatenate([diag[keep], *levels]),
+        np.vstack([f[keep], *rows]),
+        np.concatenate(copies),
+    )
 
 
 def _plane_wave_factor(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -318,6 +426,15 @@ def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
 PSD_TOL = 1e-10
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh, with a LAPACK convergence failure raised as
+    NumericalFailure."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
 def _require_psd(eigs: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Birman-Schwinger operator, checked PSD."""
     floor = -psd_tol * max(1.0, float(np.abs(eigs).max(initial=0.0)))
@@ -343,13 +460,13 @@ def build_bs(
     """
     w = build_vhalf(pot, grid).matrix
     diag = dispersion_on_grid(m, k, grid)
-    if z >= diag.min():
+    if not z < diag.min():  # NaN fails too
         raise ZNotBelowBandError(
             f"z={z} is not below the grid-sampled dispersion minimum {diag.min()}"
         )
     g = (w / (diag - z)[None, :]) @ w
     g = 0.5 * (g + g.T)
-    _require_psd(np.linalg.eigvalsh(g), psd_tol)
+    _require_psd(_eigvalsh(g), psd_tol)
     return GridOperator(g, grid, "BS")
 
 
@@ -371,7 +488,7 @@ def _resolvent(
     (or above every one); otherwise ZNotBelowBandError."""
     resolvent = _band_samples(m, k, grid)
     edge = float(resolvent.max() if above else resolvent.min())
-    if (z <= edge) if above else (z >= edge):
+    if not ((z > edge) if above else (z < edge)):  # NaN fails too
         side = "above the grid-sampled dispersion maximum" if above else (
             "below the grid-sampled dispersion minimum")
         raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
@@ -442,7 +559,7 @@ def bs_support_eigenvalues(
     resolvent = _resolvent(m, k, grid, z)
     if pot.is_empty():
         return np.zeros(0)
-    return _require_psd(np.linalg.eigvalsh(_support_gram(resolvent, pot, grid)))
+    return _require_psd(_eigvalsh(_support_gram(resolvent, pot, grid)))
 
 
 def bs_difference_norm(
@@ -473,7 +590,7 @@ def bs_difference_norm(
     if pot.is_empty():
         return 0.0
     kernel = (z0 - z) / ((e - z0) * (e - z))
-    return float(_require_psd(np.linalg.eigvalsh(_support_gram(kernel, pot, grid)))[-1])
+    return float(_require_psd(_eigvalsh(_support_gram(kernel, pot, grid)))[-1])
 
 
 def _count_outside_band(
@@ -489,9 +606,9 @@ def _count_outside_band(
     if pot.is_empty():
         return 0
     gram = _support_gram(resolvent, pot, grid)
-    _require_psd(np.linalg.eigvalsh(-gram if above else gram))
+    _require_psd(_eigvalsh(-gram if above else gram))
     signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
-    inertia = np.linalg.eigvalsh(np.diag(signs) - gram)
+    inertia = _eigvalsh(np.diag(signs) - gram)
     if above:
         return int(np.count_nonzero(inertia > 0.0) - np.count_nonzero(signs > 0.0))
     return int(np.count_nonzero(inertia < 0.0) - np.count_nonzero(signs < 0.0))

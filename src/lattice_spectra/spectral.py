@@ -60,9 +60,18 @@ def fiber_eigenvalues(m: MassPair, k: Quasimomentum, fiber: FiberPotential) -> n
     """Ascending eigenvalues of H(k) = H0(k) - V, V from ``fiber_potential``.
 
     Solves the parity blocks of H(k) separately when it has them (see
-    ``FiberPotential.blocks``) and merges their spectra.
+    ``FiberPotential.blocks``) and merges their spectra.  Each block is
+    deflated first (``FiberPotential.deflated_blocks``): V has rank r, so
+    on a level of the dispersion with m > r nodes, m - r eigenvalues equal
+    the level and only r rows of it are left to solve.  Equal masses on
+    the zone diagonal, or a direction with k_j = pi, make most levels that
+    large; a generic k leaves the block as it is.  One ``eig_sym`` per
+    block either way.
     """
-    return np.sort(np.concatenate([eig_sym(h) for h in fiber.blocks(m, k)]))
+    spectra = []
+    for h, copies in fiber.deflated_blocks(m, k):
+        spectra += [eig_sym(h), copies]
+    return np.sort(np.concatenate(spectra))
 
 
 def default_tie_tol(eigenvalues: Sequence[float]) -> float:

@@ -57,6 +57,13 @@ class TestZSchedule:
         with pytest.raises(ValueError):
             ZSchedule(steps=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ZSchedule(delta0=bad)
+        with pytest.raises(ValueError):
+            ZSchedule(ratio=bad)
+
 
 @st.composite
 def bs_check_instances(draw):

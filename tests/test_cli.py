@@ -361,6 +361,24 @@ class TestArgumentValidation:
         assert code == 2
 
 
+class TestNonFiniteFlags:
+    # each flag once with NaN, once with an infinity; argparse takes both
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--tie-tol"),
+        ("verify", "--suite", "existence", "--unit-tol"),
+        ("verify", "--suite", "existence", "--overlap-tol"),
+        ("verify", "--suite", "positivity", "--pos-tol"),
+        ("verify", "--suite", "threshold", "--z-delta0"),
+        ("verify", "--suite", "threshold", "--z-ratio"),
+    ])
+    def test_rejected_as_input(self, capsys, five_site_pot_file, argv, value):
+        code, out, err = run(capsys, *argv, value, "--grid", "4", "--k", "0.1,0.2,0.3",
+                             "--potential", five_site_pot_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and value in err
+
+
 class TestJsonable:
     def test_arrays_become_plain_lists(self):
         doc = _jsonable({"a": np.array([[0.5, -1.0]]), "b": np.arange(3), 2: np.float64(1.5)})

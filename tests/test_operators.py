@@ -38,6 +38,7 @@ from lattice_spectra import operators
 from lattice_spectra.errors import (
     GridTooSmallError,
     NegativePotentialError,
+    NumericalFailure,
     ZNotBelowBandError,
 )
 from lattice_spectra.sampling import random_masses, random_potential, random_quasimomentum
@@ -470,3 +471,54 @@ class TestFiberCounts:
         for z in inside:
             with pytest.raises(ZNotBelowBandError):
                 count(m, k, pot, z, grid)
+
+
+class TestNonFiniteZAndLapackFailure:
+    POT = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5})
+    M, GRID = MassPair(1.0, 1.0), MomentumGrid(4)
+
+    def calls(self, z):
+        m, pot, grid = self.M, self.POT, self.GRID
+        return [
+            lambda: bs_support_eigenvalues(m, K0, pot, z, grid),
+            lambda: fiber_count_below(m, K0, pot, z, grid),
+            lambda: fiber_count_above(m, K0, pot, z, grid),
+            lambda: build_bs(m, K0, pot, z, grid),
+        ]
+
+    def test_nan_z_rejected(self):
+        # NaN compares false, so each side check is written to fail on it
+        for call in self.calls(math.nan):
+            with pytest.raises(ZNotBelowBandError):
+                call()
+
+    def test_lapack_failure_is_numerical(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        m, pot, grid = self.M, self.POT, self.GRID
+        below, above = -1.0, 13.0
+        for call in [
+            lambda: bs_support_eigenvalues(m, K0, pot, below, grid),
+            lambda: operators.bs_difference_norm(m, K0, pot, below, below - 1.0, grid),
+            lambda: fiber_count_below(m, K0, pot, below, grid),
+            lambda: fiber_count_above(m, K0, pot, above, grid),
+            lambda: build_bs(m, K0, pot, below, grid),
+        ]:
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                call()
+
+    def test_inertia_solve_failure_is_numerical(self, monkeypatch):
+        # the second eigvalsh of a count (the inertia of S - G~) is mapped too
+        original, seen = np.linalg.eigvalsh, []
+
+        def second_fails(a):
+            seen.append(a)
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", second_fails)
+        with pytest.raises(NumericalFailure):
+            fiber_count_below(self.M, K0, self.POT, -1.0, self.GRID)
