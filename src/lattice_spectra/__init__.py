@@ -50,11 +50,7 @@ from .operators import (
     GridOperator,
     bs_difference_norm,
     bs_support_eigenvalues,
-    build_bs,
-    build_h,
     build_h0,
-    build_v,
-    build_vhalf,
     fiber_count_above,
     fiber_count_below,
     fiber_potential,
@@ -63,14 +59,11 @@ from .operators import (
 )
 from .spectral import (
     CountingCheck,
-    SpectralReport,
     count_above,
     count_below,
     default_tie_tol,
     eig_sym,
     fiber_eigenvalues,
-    spectral_report,
-    spectral_width,
     verify_counting_theorem,
 )
 

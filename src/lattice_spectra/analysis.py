@@ -16,10 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dispersion import band_geometry, degenerate_directions, dispersion_on_grid
-from .errors import PreconditionError, ZeroPotentialError
+from .errors import NumericalFailure, PreconditionError, ZeroPotentialError
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 from .operators import (
-    build_bs,
+    _require_grid_fits,
+    _require_psd,
+    _resolvent,
+    _support_gram,
     bs_difference_norm,
     bs_support_eigenvalues,
     fiber_count_above,
@@ -32,7 +35,6 @@ from .spectral import (
     count_above,
     count_below,
     default_tie_tol,
-    eig_sym,
     fiber_eigenvalues,
 )
 
@@ -91,9 +93,8 @@ def bs_check(
 
     H(k) is diagonalized in full (as its parity blocks when it has them).
     G(k, z) has rank r, the number of potential sites, so its count comes
-    from the nonzero spectrum, the eigenvalues of the r x r Gram matrix
-    (``bs_support_eigenvalues``); the zeros of the dense G count for
-    neither side of 1 and do not move the default tie band.
+    from its nonzero spectrum, the eigenvalues of the r x r Gram matrix
+    (``bs_support_eigenvalues``), which also set the default tie band.
     """
     eigs_h = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
     tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
@@ -176,11 +177,20 @@ def resonance_analysis(
 ) -> ThresholdReport:
     """Classify the zero-energy threshold of H(0).
 
-    Diagonalizes G(0, 0) (well defined on an offset grid, where every
-    dispersion sample is strictly positive), collects eigenvalues within
-    unit_tol of 1 and sorts them into resonance (eigenvector overlapping
-    the half-potential kernel vector) versus genuine zero eigenvectors.
+    G(0, 0) is well defined on an offset grid, where every dispersion
+    sample is strictly positive.  G(0, 0) = P K P* with P the N^3 x r plane
+    waves of the sites over N^{3/2} (P* P = I), so its nonzero eigenpairs
+    are (lambda, P c) for the eigenpairs (lambda, c) of the r x r Gram K
+    with kernel 1/E (``_support_gram``).  Eigenvalues within unit_tol of 1
+    are sorted into resonance (eigenvector overlapping the half-potential
+    kernel vector, which is N^{3/2} P sqrt(v)) versus genuine zero
+    eigenvectors; the overlap is |<sqrt(v), c>| / (|sqrt(v)| |c|).  Both
+    tolerances lie in (0, 1), so the zero eigenvalues of G, off the Gram,
+    are never within unit_tol of 1.
     """
+    for name, tol in (("unit_tol", unit_tol), ("overlap_tol", overlap_tol)):
+        if not 0.0 < tol < 1.0:  # NaN fails too
+            raise PreconditionError(f"{name} must lie in (0, 1), got {tol}")
     if not pot.is_nonnegative():
         raise PreconditionError("threshold classification requires v-hat >= 0")
     if pot.is_empty():
@@ -189,17 +199,16 @@ def resonance_analysis(
     if diag0.min() <= 0.0:
         raise PreconditionError(
             "grid offset must keep the dispersion minimum off the grid "
-            f"(min sample {diag0.min()}); use offset 0.5"
+            f"(min sample {diag0.min()}); use an even N with offset 0.5"
         )
-    g = build_bs(m, ZERO_K, pot, 0.0, grid)
-    eigs, vecs = eig_sym(g, vectors=True)
-    # grid vector of the half-potential kernel function (normalization
-    # constants cancel in the overlap ratio)
-    q = grid.nodes()
-    u = np.zeros(grid.dim)
-    for s, v in pot.entries.items():
-        u += math.sqrt(v) * np.cos(q @ np.array(s, dtype=float))
-    u_norm = float(np.linalg.norm(u))
+    _require_grid_fits(pot, grid)
+    gram = _support_gram(_resolvent(m, ZERO_K, grid, 0.0), pot, grid)
+    try:
+        eigs, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
+    _require_psd(eigs)
+    root = np.sqrt([pot.entries[s] for s in pot.sorted_sites()])
     units = []
     ambiguous = False
     n_zero = 0
@@ -207,13 +216,9 @@ def resonance_analysis(
     for i in range(len(eigs)):
         if abs(eigs[i] - 1.0) > unit_tol:
             continue
-        psi = vecs[:, i]
-        overlap = (
-            abs(float(u @ psi)) / (u_norm * float(np.linalg.norm(psi)))
-            if u_norm > 0.0
-            else 0.0
-        )
-        units.append(UnitEigenvalue(float(eigs[i]), overlap))
+        c = vecs[:, i]
+        overlap = abs(root @ c) / float(np.linalg.norm(root) * np.linalg.norm(c))
+        units.append(UnitEigenvalue(float(eigs[i]), float(overlap)))
         if overlap > overlap_tol:
             n_res += 1
         else:

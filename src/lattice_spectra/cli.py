@@ -136,10 +136,15 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         k_list.extend(_parse_k_path(args.k_path))
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    for name in ("tie_tol", "unit_tol", "overlap_tol", "pos_tol"):
+    # the threshold tolerances stay below 1: at unit_tol >= 1 the zero
+    # eigenvalues of G(0, 0) would count as unit ones, and at
+    # overlap_tol >= 1 no eigenvector could overlap the kernel vector
+    for name, high in (("tie_tol", math.inf), ("unit_tol", 1.0),
+                       ("overlap_tol", 1.0), ("pos_tol", math.inf)):
         val = getattr(args, name)
-        if val is not None and not (math.isfinite(val) and val > 0.0):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite and > 0, got {val}")
+        if val is not None and not (math.isfinite(val) and 0.0 < val < high):
+            span = "> 0" if high == math.inf else "in (0, 1)"
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and {span}, got {val}")
     return RunConfig(
         masses=masses,
         potential=pot,

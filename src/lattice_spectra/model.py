@@ -233,8 +233,9 @@ class MomentumGrid:
     """Uniform N^3 grid on the torus with a fractional sub-step offset.
 
     Node components are -pi + (n + offset) * (2*pi/N), n = 0..N-1.  The
-    default offset 0.5 keeps every component away from 0 and pi, so the
-    dispersion minimum never coincides with a node.
+    default offset 0.5 keeps every component away from pi, and for even N
+    away from 0 too, so that the dispersion minimum at k = 0 falls between
+    nodes; for odd N the middle node sits at 0.
     """
 
     n_per_dim: int

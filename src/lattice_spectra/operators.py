@@ -1,13 +1,14 @@
-"""Exact finite-torus representatives of H0(k), V, H(k), V^{1/2} and G(k, z).
+"""Exact finite-torus representatives of H0(k), V, H(k) and G(k, z).
 
 For a finitely supported potential with support radius R and a grid with
 N >= 2R + 1 the construction is exact on the discrete torus Z_N^3: the
 convolution operator is unitarily equivalent to multiplication by v-hat
 on the position box, so the only approximation anywhere is finite volume.
-The ``build_*`` matrices are real symmetric and dense, O(N^6) in memory, so
-they stay at desk scale (N <= 14) and serve as the reference; a dense
-build whose 8 N^6 bytes exceed the machine's physical memory is refused
-before it allocates.
+The only N^3 x N^3 matrices built here are H0(k) (``build_h0``) and the
+blocks of H(k) handed to the eigensolver; a dense build whose 8 rows^2
+bytes exceed the machine's physical memory is refused before it
+allocates.  ``_convolution_matrix`` and the dense V, V^{1/2}, H(k) and
+G(k, z) builders are test oracles, in ``tests/oracles.py``.
 
 V has rank r, the number of potential sites, so the questions the theorems
 ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
@@ -15,7 +16,8 @@ K(q) sampled on the grid (built from the three axis factors of E) into the
 r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost, up to N = 128:
 
 * with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
-  (``bs_support_eigenvalues``);
+  (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
+  the threshold classification of H(0) (``analysis.resonance_analysis``);
 * with K = 1/(E - z) and z outside the sampled band, the number of
   eigenvalues of H(k) below (``fiber_count_below``) or above
   (``fiber_count_above``) z, from the inertia of S - G~(z) with
@@ -30,14 +32,12 @@ Library eigensolves of H(k), which list every eigenvalue and stay dense,
 go through ``fiber_potential``: V does not depend on k, so its N^3 x r
 plane-wave factor, V = C diag(w) C^T + S diag(w') S^T with cosine and
 sine columns C and S, is built once per (potential, grid) and shared
-read-only across k and worker threads.  The N^3 x N^3 V is not formed
-there; ``_convolution_matrix`` serves only ``build_v``, ``build_vhalf``
-and ``build_bs``, the independent oracles.  The potential is even, so V
-commutes with the parity q -> -q.  On a grid closed under parity (offset
-0 or 1/2), whenever the sampled dispersion is even too (equal masses, or
-k = 0), H(k) is handed to the eigensolver as its even and odd blocks of
-about N^3 / 2 each, a quarter of the dense work; otherwise as one
-N^3 x N^3 block.  C is even and S odd, so each block is its diagonal
+read-only across k and worker threads; the N^3 x N^3 V is not formed.
+The potential is even, so V commutes with the parity q -> -q.  On a grid
+closed under parity (offset 0 or 1/2), whenever the sampled dispersion is
+even too (equal masses, or k = 0), H(k) is handed to the eigensolver as
+its even and odd blocks of about N^3 / 2 each, a quarter of the dense
+work; otherwise as one N^3 x N^3 block.  C is even and S odd, so each block is its diagonal
 minus one rank-r product of rows of C or of S (of both for the full
 block), and is refused before it allocates when its 8 rows^2 bytes
 exceed physical memory.
@@ -58,10 +58,10 @@ run's spread.  A block whose levels are no longer than its rank (a
 generic k) passes through unchanged.  The memory guard still applies to
 the rows of the whole block.
 
-Birman-Schwinger operators are positive semidefinite.  Both routes to
-their spectrum, the dense ``build_bs`` and the Gram ``bs_support_eigenvalues``,
-refuse a smallest eigenvalue below -PSD_TOL * max(1, largest |eigenvalue|)
-with ``NumericalFailure``; rounding stays far above that floor.  The
+Birman-Schwinger operators are positive semidefinite.  Their Gram
+spectrum refuses a smallest eigenvalue below
+-PSD_TOL * max(1, largest |eigenvalue|) with ``NumericalFailure``
+(``_require_psd``); rounding stays far above that floor.  The
 inertia counts apply the same floor to G~(z) below the band and to -G~(z)
 above it.
 """
@@ -92,7 +92,7 @@ class GridOperator:
 
     matrix: np.ndarray
     grid: MomentumGrid
-    kind: str  # one of: H0, V, H, Vhalf, BS
+    kind: str  # H0 in the library; the test oracles also build V, H, Vhalf and BS
 
     @property
     def dim(self) -> int:
@@ -126,34 +126,6 @@ def _require_dense_fits(rows: int, grid: MomentumGrid) -> None:
         )
 
 
-def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
-    """Momentum-side matrix of the position multiplication operator.
-
-    Entry (m, n) = (1/N^3) sum_x f(x) cos((q_m - q_n, x)).  Depends only on
-    the node index difference mod N per axis (circulant structure); the
-    grid offset cancels in q_m - q_n.
-    """
-    _require_dense_fits(grid.dim, grid)
-    n = grid.n_per_dim
-    d = np.arange(n)
-    table = np.zeros((n, n, n))
-    for (s1, s2, s3), v in values.items():
-        ang = (2.0 * math.pi / n) * (
-            d[:, None, None] * s1 + d[None, :, None] * s2 + d[None, None, :] * s3
-        )
-        table += v * np.cos(ang)
-    table /= n**3
-    # entry ((i1, i2, i3), (j1, j2, j3)) in C order reads table[dd[i1, j1],
-    # dd[i2, j2], dd[i3, j3]]; broadcasting keeps the index arrays N x N
-    dd = (d[:, None] - d[None, :]) % n
-    mat = table[
-        dd[:, None, None, :, None, None],
-        dd[None, :, None, None, :, None],
-        dd[None, None, :, None, None, :],
-    ].reshape(n**3, n**3)
-    return 0.5 * (mat + mat.T)
-
-
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     """Diagonal matrix of dispersion samples over the grid nodes."""
     _require_dense_fits(grid.dim, grid)
@@ -161,23 +133,8 @@ def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     return GridOperator(np.diag(diag), grid, "H0")
 
 
-def build_v(pot: Potential, grid: MomentumGrid) -> GridOperator:
-    """Momentum representation of the convolution potential (exact)."""
-    _require_grid_fits(pot, grid)
-    return GridOperator(_convolution_matrix(dict(pot.entries), grid), grid, "V")
-
-
-def build_vhalf(pot: Potential, grid: MomentumGrid) -> GridOperator:
-    """Positive square root V^{1/2}, built from sqrt(v-hat); needs v-hat >= 0."""
-    if not pot.is_nonnegative():
-        raise NegativePotentialError("V^{1/2} requires a nonnegative potential")
-    _require_grid_fits(pot, grid)
-    roots = {s: math.sqrt(v) for s, v in pot.entries.items()}
-    return GridOperator(_convolution_matrix(roots, grid), grid, "Vhalf")
-
-
 def potential_spectrum(pot: Potential, grid: MomentumGrid) -> np.ndarray:
-    """Exact eigenvalue multiset of build_v: v-hat over the centered position box."""
+    """Exact eigenvalue multiset of V: v-hat over the centered position box."""
     _require_grid_fits(pot, grid)
     n = grid.n_per_dim
     lo = -((n - 1) // 2)
@@ -186,15 +143,6 @@ def potential_spectrum(pot: Potential, grid: MomentumGrid) -> np.ndarray:
         pot.value((x1, x2, x3)) for x1 in box for x2 in box for x3 in box
     ]
     return np.sort(np.array(vals))
-
-
-def build_h(
-    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
-) -> GridOperator:
-    """Full fiber Hamiltonian H(k) = H0(k) - V on the grid."""
-    h0 = build_h0(m, k, grid)
-    v = build_v(pot, grid)
-    return GridOperator(h0.matrix - v.matrix, grid, "H")
 
 
 # The sampled dispersion counts as parity-even when E(q) and E(-q) agree to
@@ -250,20 +198,6 @@ class FiberPotential:
     even_factor: Optional[np.ndarray] = None
     odd_factor: Optional[np.ndarray] = None
 
-    @property
-    def even(self) -> Optional[np.ndarray]:
-        """Even block of V, formed from the factor on each access."""
-        if self.mirror is None:
-            return None
-        return _low_rank(self.even_factor, self.weights[: self.n_cos], self.grid)
-
-    @property
-    def odd(self) -> Optional[np.ndarray]:
-        """Odd block of V, formed from the factor on each access."""
-        if self.mirror is None:
-            return None
-        return _low_rank(self.odd_factor, self.weights[self.n_cos :], self.grid)
-
     def _parts(
         self, m: MassPair, k: Quasimomentum
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -313,15 +247,10 @@ class FiberPotential:
 
 def _block(diag: np.ndarray, f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     """diag - f diag(w) f^T, refused before it allocates when it does not fit."""
-    h = _low_rank(f, -w, grid)
+    _require_dense_fits(f.shape[0], grid)
+    h = (f * -w) @ f.T
     h[np.diag_indices_from(h)] += diag
     return h
-
-
-def _low_rank(f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
-    """f diag(w) f^T, refused before it allocates when it does not fit."""
-    _require_dense_fits(f.shape[0], grid)
-    return (f * w) @ f.T
 
 
 def _long_runs(s: np.ndarray, tol: float, rank: int) -> Iterator[tuple[int, int]]:
@@ -445,31 +374,6 @@ def _require_psd(eigs: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     return eigs
 
 
-def build_bs(
-    m: MassPair,
-    k: Quasimomentum,
-    pot: Potential,
-    z: float,
-    grid: MomentumGrid,
-    psd_tol: float = PSD_TOL,
-) -> GridOperator:
-    """Birman-Schwinger operator G(k, z) = V^{1/2} (H0(k) - z)^{-1} V^{1/2}.
-
-    Positive semidefiniteness is a theorem and is enforced at build time
-    from the eigenvalues of G, which are not kept.
-    """
-    w = build_vhalf(pot, grid).matrix
-    diag = dispersion_on_grid(m, k, grid)
-    if not z < diag.min():  # NaN fails too
-        raise ZNotBelowBandError(
-            f"z={z} is not below the grid-sampled dispersion minimum {diag.min()}"
-        )
-    g = (w / (diag - z)[None, :]) @ w
-    g = 0.5 * (g + g.T)
-    _require_psd(_eigvalsh(g), psd_tol)
-    return GridOperator(g, grid, "BS")
-
-
 def _band_samples(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> np.ndarray:
     """E(q) over the grid as an N x N x N array, summed from its axis factors
     e_j(q_j) = (1 - cos(k_j/2 + q_j)) / m1 + (1 - cos(k_j/2 - q_j)) / m2."""
@@ -551,7 +455,7 @@ def bs_support_eigenvalues(
     axis factors of E).
 
     G is positive semidefinite, so a Gram eigenvalue below the PSD_TOL
-    floor raises NumericalFailure, as in ``build_bs``.
+    floor raises NumericalFailure.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")

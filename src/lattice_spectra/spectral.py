@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, counting functionals and the width theorem.
+"""Symmetric eigenvalues, counting functionals and the width theorem.
 
 Counting is strict-inequality counting with an explicit tie band: finite
 arithmetic cannot distinguish an eigenvalue sitting exactly at a reference
@@ -40,17 +40,15 @@ def _check_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
 
 
-def eig_sym(op: MatrixLike, vectors: bool = False):
-    """Ascending eigenvalues of a symmetric matrix, optionally with vectors.
+def eig_sym(op: MatrixLike) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.
 
-    Backed by LAPACK (numpy.linalg.eigh).  A non-finite entry or a LAPACK
-    convergence failure raises NumericalFailure.
+    Backed by LAPACK (numpy.linalg.eigvalsh).  A non-finite entry or a
+    LAPACK convergence failure raises NumericalFailure.
     """
     a = _as_matrix(op)
     _check_symmetric(a)
     try:
-        if vectors:
-            return np.linalg.eigh(a)
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
@@ -91,44 +89,6 @@ def count_above(mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0) -
     """Number of eigenvalues strictly above mu + tie_tol."""
     arr = np.asarray(eigenvalues, dtype=float)
     return int(np.count_nonzero(arr > mu + tie_tol))
-
-
-def spectral_width(eigenvalues: Sequence[float]) -> float:
-    """Diameter of the spectrum: largest minus smallest eigenvalue."""
-    arr = np.asarray(eigenvalues, dtype=float)
-    if arr.size == 0:
-        raise ValueError("spectral_width of an empty spectrum")
-    return float(arr.max() - arr.min())
-
-
-@dataclass(frozen=True)
-class LevelCount:
-    label: str
-    level: float
-    n_below: int
-    n_above: int
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    eigenvalues: np.ndarray
-    counts: tuple[LevelCount, ...]
-    width: float
-    tie_tol: float
-
-
-def spectral_report(
-    op: MatrixLike,
-    reference_levels: Sequence[tuple[str, float]],
-    tie_tol: Optional[float] = None,
-) -> SpectralReport:
-    eigs = np.sort(eig_sym(op))
-    tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
-    counts = tuple(
-        LevelCount(label, mu, count_below(mu, eigs, tol), count_above(mu, eigs, tol))
-        for label, mu in reference_levels
-    )
-    return SpectralReport(eigs, counts, spectral_width(eigs), tol)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,186 @@
+"""Dense N^3 x N^3 oracles of V, V^{1/2}, H(k) and G(k, z), for tests only.
+
+The library works from the rank-r structure of V: the plane-wave factor
+of ``fiber_potential`` and the r x r Gram of ``_support_gram``.  The
+builders here form the full matrices on the momentum grid instead, the
+independent reference every fast route is checked against at small N.
+They share the library's guards: a matrix whose 8 N^6 bytes exceed
+physical memory is refused before it allocates, and G is checked
+positive semidefinite against PSD_TOL.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from lattice_spectra.analysis import ZERO_K, ThresholdReport, UnitEigenvalue
+from lattice_spectra.dispersion import dispersion_on_grid
+from lattice_spectra.errors import (
+    NegativePotentialError,
+    PreconditionError,
+    ZNotBelowBandError,
+)
+from lattice_spectra.model import MassPair, MomentumGrid, Potential, Quasimomentum
+from lattice_spectra.operators import (
+    PSD_TOL,
+    FiberPotential,
+    GridOperator,
+    _eigvalsh,
+    _require_dense_fits,
+    _require_grid_fits,
+    _require_psd,
+    build_h0,
+)
+
+
+def _convolution_matrix(values: dict, grid: MomentumGrid) -> np.ndarray:
+    """Momentum-side matrix of the position multiplication operator.
+
+    Entry (m, n) = (1/N^3) sum_x f(x) cos((q_m - q_n, x)).  Depends only on
+    the node index difference mod N per axis (circulant structure); the
+    grid offset cancels in q_m - q_n.
+    """
+    _require_dense_fits(grid.dim, grid)
+    n = grid.n_per_dim
+    d = np.arange(n)
+    table = np.zeros((n, n, n))
+    for (s1, s2, s3), v in values.items():
+        ang = (2.0 * math.pi / n) * (
+            d[:, None, None] * s1 + d[None, :, None] * s2 + d[None, None, :] * s3
+        )
+        table += v * np.cos(ang)
+    table /= n**3
+    # entry ((i1, i2, i3), (j1, j2, j3)) in C order reads table[dd[i1, j1],
+    # dd[i2, j2], dd[i3, j3]]; broadcasting keeps the index arrays N x N
+    dd = (d[:, None] - d[None, :]) % n
+    mat = table[
+        dd[:, None, None, :, None, None],
+        dd[None, :, None, None, :, None],
+        dd[None, None, :, None, None, :],
+    ].reshape(n**3, n**3)
+    return 0.5 * (mat + mat.T)
+
+
+def build_v(pot: Potential, grid: MomentumGrid) -> GridOperator:
+    """Momentum representation of the convolution potential (exact)."""
+    _require_grid_fits(pot, grid)
+    return GridOperator(_convolution_matrix(dict(pot.entries), grid), grid, "V")
+
+
+def build_vhalf(pot: Potential, grid: MomentumGrid) -> GridOperator:
+    """Positive square root V^{1/2}, built from sqrt(v-hat); needs v-hat >= 0."""
+    if not pot.is_nonnegative():
+        raise NegativePotentialError("V^{1/2} requires a nonnegative potential")
+    _require_grid_fits(pot, grid)
+    roots = {s: math.sqrt(v) for s, v in pot.entries.items()}
+    return GridOperator(_convolution_matrix(roots, grid), grid, "Vhalf")
+
+
+def build_h(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> GridOperator:
+    """Full fiber Hamiltonian H(k) = H0(k) - V on the grid."""
+    h0 = build_h0(m, k, grid)
+    v = build_v(pot, grid)
+    return GridOperator(h0.matrix - v.matrix, grid, "H")
+
+
+def build_bs(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z: float,
+    grid: MomentumGrid,
+    psd_tol: float = PSD_TOL,
+) -> GridOperator:
+    """Birman-Schwinger operator G(k, z) = V^{1/2} (H0(k) - z)^{-1} V^{1/2}.
+
+    Positive semidefiniteness is a theorem and is enforced at build time
+    from the eigenvalues of G, which are not kept.
+    """
+    w = build_vhalf(pot, grid).matrix
+    diag = dispersion_on_grid(m, k, grid)
+    if not z < diag.min():  # NaN fails too
+        raise ZNotBelowBandError(
+            f"z={z} is not below the grid-sampled dispersion minimum {diag.min()}"
+        )
+    g = (w / (diag - z)[None, :]) @ w
+    g = 0.5 * (g + g.T)
+    _require_psd(_eigvalsh(g), psd_tol)
+    return GridOperator(g, grid, "BS")
+
+
+def parity_blocks_of_v(fv: FiberPotential) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of V, formed densely from the parity factor rows
+    of a parity-closed ``FiberPotential``."""
+    w = fv.weights
+    even = (fv.even_factor * w[: fv.n_cos]) @ fv.even_factor.T
+    odd = (fv.odd_factor * w[fv.n_cos :]) @ fv.odd_factor.T
+    return even, odd
+
+
+def dense_resonance_analysis(
+    m: MassPair,
+    pot: Potential,
+    grid: MomentumGrid,
+    unit_tol: float = 1e-6,
+    overlap_tol: float = 1e-6,
+) -> ThresholdReport:
+    """Threshold classification of H(0) from the dense N^3 x N^3 G(0, 0).
+
+    Collects the eigenvalues of G within unit_tol of 1 and sorts them into
+    resonance (eigenvector overlapping the grid vector of the half-potential
+    kernel, sum_s sqrt(v(s)) cos(q.s)) versus genuine zero eigenvectors.
+    """
+    if not pot.is_nonnegative():
+        raise PreconditionError("threshold classification requires v-hat >= 0")
+    if pot.is_empty():
+        return ThresholdReport(0.0, (), "none", 0, False)
+    diag0 = dispersion_on_grid(m, ZERO_K, grid)
+    if diag0.min() <= 0.0:
+        raise PreconditionError(
+            "grid offset must keep the dispersion minimum off the grid "
+            f"(min sample {diag0.min()}); use offset 0.5"
+        )
+    g = build_bs(m, ZERO_K, pot, 0.0, grid)
+    eigs, vecs = np.linalg.eigh(g.matrix)
+    # grid vector of the half-potential kernel function (normalization
+    # constants cancel in the overlap ratio)
+    q = grid.nodes()
+    u = np.zeros(grid.dim)
+    for s, v in pot.entries.items():
+        u += math.sqrt(v) * np.cos(q @ np.array(s, dtype=float))
+    u_norm = float(np.linalg.norm(u))
+    units = []
+    ambiguous = False
+    n_zero = 0
+    n_res = 0
+    for i in range(len(eigs)):
+        if abs(eigs[i] - 1.0) > unit_tol:
+            continue
+        psi = vecs[:, i]
+        overlap = (
+            abs(float(u @ psi)) / (u_norm * float(np.linalg.norm(psi)))
+            if u_norm > 0.0
+            else 0.0
+        )
+        units.append(UnitEigenvalue(float(eigs[i]), overlap))
+        if overlap > overlap_tol:
+            n_res += 1
+        else:
+            n_zero += 1
+        if 0.1 * overlap_tol < overlap <= 10.0 * overlap_tol:
+            ambiguous = True
+    if n_res and n_zero:
+        classification = "resonance_plus_zero_eigenvalue"
+    elif n_res:
+        classification = "resonance"
+    elif n_zero:
+        classification = "zero_eigenvalue"
+    else:
+        classification = "none"
+    return ThresholdReport(
+        float(eigs[-1]), tuple(units), classification, n_zero, ambiguous
+    )

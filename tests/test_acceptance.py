@@ -18,7 +18,6 @@ from lattice_spectra import (
     band_geometry,
     bs_check,
     bs_support_eigenvalues,
-    build_h,
     count_below,
     critical_coupling,
     default_tie_tol,
@@ -38,6 +37,7 @@ from lattice_spectra.sampling import (
 )
 
 from conftest import k_pi, point_potential, scanned_band_edges, watson_integral
+from oracles import build_h
 
 M11 = MassPair(1.0, 1.0)
 

@@ -17,8 +17,6 @@ from lattice_spectra import (
     band_geometry,
     bs_check,
     bs_support_eigenvalues,
-    build_bs,
-    build_h,
     continuity_exponent,
     count_above,
     count_below,
@@ -37,6 +35,7 @@ from lattice_spectra.cli import main
 from lattice_spectra.errors import NumericalFailure, PreconditionError, ZeroPotentialError
 
 from conftest import k_pi, point_potential
+from oracles import build_bs, build_h, dense_resonance_analysis
 
 K0 = Quasimomentum(0, 0, 0)
 M11 = MassPair(1, 1)
@@ -120,7 +119,8 @@ class TestBSCheck:
 
         for module, name in [(analysis, "build_bs"), (operators, "build_bs"),
                              (operators, "build_vhalf")]:
-            monkeypatch.setattr(module, name, refuse)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
         assert main(["verify", "--suite", "bs", "--trials", "6"]) == 0
         assert '"pass": true' in capsys.readouterr().out
 
@@ -154,7 +154,72 @@ class TestThresholdCount:
         assert list(tc.counts) == sorted(tc.counts)
 
 
+@st.composite
+def threshold_instances(draw):
+    """Equal or unequal masses, a nonnegative potential of radius 1 or 2 on
+    1 to 4 drawn sites, N in 4..10 (N >= 2R + 1) at offset 1/4, 1/2 or 0.77
+    wherever every sample of E(0, q) is positive, and a unit_tol of 1e-6,
+    0.3 or 0.9.  The coupling puts a randomly chosen Gram eigenvalue (at
+    least 1e-3 of the largest) at 1, or at 1/2; with the wide tolerances
+    several eigenvalues fall in the window, so every classification is
+    reached.  Each eigenvalue in the window is kept more than 1e-6 of the
+    largest away from every other one: in a degenerate eigenspace the
+    overlaps, and with them the classification, depend on the basis the
+    eigensolver picks, on either route."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * radius + 1), 10))
+    offset = draw(st.sampled_from([0.25, 0.5, 0.77]))
+    m1 = draw(st.floats(0.4, 3.0))
+    m2 = draw(st.one_of(st.just(m1), st.floats(0.4, 3.0)))
+    span = st.integers(-radius, radius)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(0.05, 3.0),
+                        min_size=1, max_size=4)
+    )
+    base = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    m, grid = MassPair(m1, m2), MomentumGrid(n, offset)
+    assume(dispersion_on_grid(m, K0, grid).min() > 0.0)
+    mu = bs_support_eigenvalues(m, K0, base, 0.0, grid)
+    i = draw(st.integers(0, len(mu) - 1))
+    assume(mu[i] >= 1e-3 * mu[-1])
+    level = draw(st.sampled_from([1.0, 0.5]))
+    unit_tol = draw(st.sampled_from([1e-6, 0.3, 0.9]))
+    coupling = level / mu[i]
+    mu = coupling * mu
+    gaps = np.abs(mu[:, None] - mu[None, :]) + np.diag(np.full(len(mu), np.inf))
+    window = np.abs(mu - 1.0) <= unit_tol
+    assume(np.all(gaps[window].min(axis=1, initial=np.inf) > 1e-6 * mu[-1]))
+    return m, base.scaled(coupling), grid, unit_tol
+
+
 class TestResonanceAnalysis:
+    @settings(max_examples=40, deadline=None)
+    @given(threshold_instances())
+    def test_matches_dense_g(self, inst):
+        # the r x r Gram route against the eigenpairs of the dense G(0, 0)
+        m, pot, grid, unit_tol = inst
+        rep = resonance_analysis(m, pot, grid, unit_tol=unit_tol)
+        ref = dense_resonance_analysis(m, pot, grid, unit_tol=unit_tol)
+        assert (rep.classification, rep.multiplicity, rep.ambiguous) == (
+            ref.classification, ref.multiplicity, ref.ambiguous)
+        assert rep.lambda_max == pytest.approx(ref.lambda_max, rel=1e-10, abs=1e-10)
+        assert len(rep.unit_eigenvalues) == len(ref.unit_eigenvalues)
+        for got, want in zip(rep.unit_eigenvalues, ref.unit_eigenvalues):
+            assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-10)
+            assert got.overlap == pytest.approx(want.overlap, rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("unit_tol, overlap_tol", [
+        (1.0, 1e-6), (1.5, 1e-6), (1e-6, 1.0), (1e-6, 1.5),
+        (0.0, 1e-6), (1e-6, -1.0), (math.nan, 1e-6),
+    ])
+    def test_tolerances_must_lie_in_unit_interval(self, unit_tol, overlap_tol):
+        # unit_tol >= 1 would count the zero eigenvalues of G(0, 0) as unit
+        # ones, and overlap_tol >= 1 would turn every resonance into a zero
+        # eigenvalue
+        with pytest.raises(PreconditionError, match="must lie in"):
+            resonance_analysis(M11, point_potential(1.0), MomentumGrid(6),
+                               unit_tol=unit_tol, overlap_tol=overlap_tol)
+
     def test_subcritical_none(self):
         grid = MomentumGrid(8)
         lam_star = critical_coupling(M11, point_potential(1.0), grid).lambda_star
@@ -202,6 +267,11 @@ class TestResonanceAnalysis:
     def test_requires_offset_grid(self):
         with pytest.raises(PreconditionError):
             resonance_analysis(M11, point_potential(1.0), MomentumGrid(4, offset=0.0))
+
+    def test_odd_grid_at_half_offset_has_a_node_at_zero(self):
+        # the middle node of an odd grid at offset 1/2 sits at q = 0
+        with pytest.raises(PreconditionError, match="even N"):
+            resonance_analysis(M11, point_potential(1.0), MomentumGrid(5))
 
 
 class TestCriticalCoupling:

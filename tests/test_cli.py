@@ -13,10 +13,12 @@ import pytest
 import numpy as np
 
 import lattice_spectra
-from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, build_h, operators
+from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, operators
 from lattice_spectra.cli import _jsonable, main
 from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
+
+from oracles import build_h
 
 
 @pytest.fixture
@@ -42,12 +44,14 @@ def five_site_pot_file(tmp_path):
 
 
 def refuse_dense_v(monkeypatch):
-    """Make the N^3 x N^3 V builders raise for the rest of the test."""
+    """Make the N^3 x N^3 V builders that the library still has raise for
+    the rest of the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense V build")
 
     for name in ("build_v", "_convolution_matrix"):
-        monkeypatch.setattr(operators, name, refuse)
+        if hasattr(operators, name):
+            monkeypatch.setattr(operators, name, refuse)
 
 
 def run(capsys, *argv):
@@ -377,6 +381,19 @@ class TestNonFiniteFlags:
                              "--potential", five_site_pot_file)
         assert code == 2 and out == ""
         assert err.startswith("error:") and value in err
+
+
+class TestThresholdTolerances:
+    # at 1 or more the classification goes wrong silently: the zero
+    # eigenvalues of G(0, 0) count as unit ones, or no eigenvector can
+    # overlap the kernel vector
+    @pytest.mark.parametrize("value", ["1", "1.5"])
+    @pytest.mark.parametrize("flag", ["--unit-tol", "--overlap-tol"])
+    def test_one_or_more_rejected_as_input(self, capsys, weak_pot_file, flag, value):
+        code, out, err = run(capsys, "verify", "--suite", "existence", "--grid", "6",
+                             "--potential", weak_pot_file, "--k=1,1,1", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err and "(0, 1)" in err
 
 
 class TestJsonable:

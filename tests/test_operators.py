@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_spectra
 from lattice_spectra import (
     MassPair,
     MomentumGrid,
@@ -18,11 +19,7 @@ from lattice_spectra import (
     Quasimomentum,
     band_geometry,
     bs_support_eigenvalues,
-    build_bs,
-    build_h,
     build_h0,
-    build_v,
-    build_vhalf,
     count_above,
     count_below,
     default_tie_tol,
@@ -34,7 +31,7 @@ from lattice_spectra import (
     potential_spectrum,
     weyl_bracket,
 )
-from lattice_spectra import operators
+from lattice_spectra import analysis, operators
 from lattice_spectra.errors import (
     GridTooSmallError,
     NegativePotentialError,
@@ -44,8 +41,16 @@ from lattice_spectra.errors import (
 from lattice_spectra.sampling import random_masses, random_potential, random_quasimomentum
 
 from conftest import k_pi, point_potential
+from oracles import build_bs, build_h, build_v, build_vhalf, parity_blocks_of_v
 
 K0 = Quasimomentum(0, 0, 0)
+
+
+def test_dense_oracles_are_not_library_api():
+    # the dense V, V^{1/2}, H and G builders are test oracles (tests/oracles.py)
+    for module in (lattice_spectra, operators, analysis):
+        for name in ("_convolution_matrix", "build_v", "build_vhalf", "build_h", "build_bs"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestBuildH0:
@@ -311,7 +316,8 @@ class TestFiberEigenvalues:
         grid = MomentumGrid(n, offset)
         fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), grid)
         even, odd = (grid.dim + fixed) // 2, (grid.dim - fixed) // 2
-        assert fv.even.shape == (even, even) and fv.odd.shape == (odd, odd)
+        v_even, v_odd = parity_blocks_of_v(fv)
+        assert v_even.shape == (even, even) and v_odd.shape == (odd, odd)
         for m, k in [(MassPair(1, 1), Quasimomentum(0.7, -1.9, 2.8)),
                      (MassPair(1, 2.5), K0)]:
             assert [h.shape[0] for h in fv.blocks(m, k)] == [even, odd]
@@ -381,8 +387,9 @@ class TestFiberEigenvalues:
         c = np.where(np.arange(len(nodes)) < len(pairs), 1.0, math.sqrt(0.5))
         even = v[np.ix_(nodes, nodes)] + v[np.ix_(nodes, fv.mirror[nodes])]
         odd = v[np.ix_(pairs, pairs)] - v[np.ix_(pairs, fv.mirror[pairs])]
-        assert np.allclose(fv.even, np.outer(c, c) * even, rtol=0.0, atol=1e-14)
-        assert np.allclose(fv.odd, odd, rtol=0.0, atol=1e-14)
+        v_even, v_odd = parity_blocks_of_v(fv)
+        assert np.allclose(v_even, np.outer(c, c) * even, rtol=0.0, atol=1e-14)
+        assert np.allclose(v_odd, odd, rtol=0.0, atol=1e-14)
 
     def test_holds_rank_r_arrays_and_peaks_below_one_dense_v(self):
         pot = Potential({(0, 0, 0): 3.6, (0, 0, 1): 0.86, (0, 1, 0): 0.79})
