@@ -15,13 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispersion import band_geometry, degenerate_directions, dispersion_on_grid
+from .dispersion import band_geometry, degenerate_directions
 from .errors import NumericalFailure, PreconditionError, ZeroPotentialError
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 from .operators import (
+    _axis_factors,
     _require_grid_fits,
     _require_psd,
-    _resolvent,
+    _resolvent_kernel,
+    _sampled_band,
     _support_gram,
     bs_difference_norm,
     bs_support_eigenvalues,
@@ -195,14 +197,15 @@ def resonance_analysis(
         raise PreconditionError("threshold classification requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
-    diag0 = dispersion_on_grid(m, ZERO_K, grid)
-    if diag0.min() <= 0.0:
+    factors = _axis_factors(m, ZERO_K, grid)
+    e_low = _sampled_band(factors)[0]
+    if e_low <= 0.0:
         raise PreconditionError(
             "grid offset must keep the dispersion minimum off the grid "
-            f"(min sample {diag0.min()}); use an even N with offset 0.5"
+            f"(min sample {e_low}); use an even N with offset 0.5"
         )
     _require_grid_fits(pot, grid)
-    gram = _support_gram(_resolvent(m, ZERO_K, grid, 0.0), pot, grid)
+    gram = _support_gram(factors, _resolvent_kernel(0.0), pot, grid)
     try:
         eigs, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
@@ -371,9 +374,20 @@ def verify_existence(
 
     With a resonance and an n-fold zero eigenvalue at k = 0, each nonzero
     interior k must carry at least n + 1 below-band eigenvalues (n without
-    the resonance), all nonnegative.
+    the resonance), all nonnegative.  The theorem assumes H(0) >= 0: a
+    Gram eigenvalue of G(0, 0) above 1 + unit_tol (a negative eigenvalue of
+    H(0), by Birman-Schwinger at z = 0) is a PreconditionError, as is the
+    absence of a threshold state.
     """
     threshold = resonance_analysis(m, pot, grid, unit_tol, overlap_tol)
+    if threshold.lambda_max > 1.0 + unit_tol:
+        # Birman-Schwinger at z = 0, below the band: every eigenvalue of
+        # G(0, 0) above 1 is a negative eigenvalue of H(0)
+        raise PreconditionError(
+            "H(0) is not nonnegative: the largest eigenvalue of G(0, 0) is "
+            f"{threshold.lambda_max} > 1 + unit_tol; the existence theorem "
+            "assumes H(0) >= 0"
+        )
     if threshold.classification == "none":
         raise PreconditionError(
             "no threshold state at k = 0; emergence has no lower bound to verify"
@@ -547,9 +561,9 @@ def verify_cheksiz(
         raise PreconditionError("degenerate-direction count requires v-hat >= 0")
     tc = threshold_count(m, k, pot, grid, schedule)
     geo = band_geometry(m, k)
-    n = grid.n_per_dim
-    diag = dispersion_on_grid(m, k, grid).reshape(n, n, n)
-    const_along = float(np.ptp(diag, axis=j).max()) <= 1e-12 * max(1.0, float(diag.max()))
+    # E = (e_1 + e_2) + e_3 is constant along axis j when e_j is
+    factors = _axis_factors(m, k, grid)
+    const_along = float(np.ptp(factors[j])) <= 1e-12 * max(1.0, _sampled_band(factors)[1])
     monotone = all(a <= b for a, b in zip(tc.counts, tc.counts[1:]))
     return CheksizReport(
         axis=j,
@@ -591,8 +605,7 @@ def continuity_exponent(
     if pot.is_empty():
         raise ZeroPotentialError("continuity exponent of the zero potential")
     geo = band_geometry(m, k)
-    diag = dispersion_on_grid(m, k, grid)
-    if diag.min() <= geo.e_min:
+    if _sampled_band(_axis_factors(m, k, grid))[0] <= geo.e_min:
         raise PreconditionError(
             "grid samples must sit strictly above the analytic band bottom"
         )

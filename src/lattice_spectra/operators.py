@@ -12,8 +12,10 @@ G(k, z) builders are test oracles, in ``tests/oracles.py``.
 
 V has rank r, the number of potential sites, so the questions the theorems
 ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
-K(q) sampled on the grid (built from the three axis factors of E) into the
-r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost, up to N = 128:
+K of E, sampled on the grid from the three axis factors of E, into the
+r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost and O(N^2)
+memory: it forms E and K one slab of axis-1 planes at a time
+(GRAM_SLAB_NODES), and no N^3 array is built.  Its users:
 
 * with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
@@ -24,6 +26,10 @@ r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost, up to N = 128:
   S = diag(sgn v), by Haynsworth inertia additivity;
 * with K = 1/(E - z0) - 1/(E - z), the norm of G(k, z0) - G(k, z)
   (``bs_difference_norm``).
+
+Whether z lies below (above) every sample of E is read off the axis
+factors as (min e_1 + min e_2) + min e_3 (the same with max), which is the
+extreme summed sample exactly (``_sampled_band``).
 
 ``weyl_bracket`` bounds the spectrum of H(k) without solving it, and sets
 the default tie band of those counts.
@@ -71,7 +77,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -374,57 +380,96 @@ def _require_psd(eigs: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     return eigs
 
 
-def _band_samples(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> np.ndarray:
-    """E(q) over the grid as an N x N x N array, summed from its axis factors
+# Nodes of the kernel held at once by ``_support_gram``: it streams the grid
+# in slabs of whole axis-1 planes, as many as fit this cap (at least one).
+GRAM_SLAB_NODES = 1 << 16
+
+AxisFactors = tuple[np.ndarray, np.ndarray, np.ndarray]
+Kernel = Callable[[np.ndarray], None]  # applied in place to a slab of E
+
+
+def _axis_factors(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> AxisFactors:
+    """The axis factors of E = (e_1 + e_2) + e_3 over the grid's axis nodes,
     e_j(q_j) = (1 - cos(k_j/2 + q_j)) / m1 + (1 - cos(k_j/2 - q_j)) / m2."""
     a = grid.axis_nodes()
     e1, e2, e3 = (
         (1.0 - np.cos(0.5 * kj + a)) / m.m1 + (1.0 - np.cos(0.5 * kj - a)) / m.m2
         for kj in k.components
     )
-    return e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
+    return e1, e2, e3
 
 
-def _resolvent(
-    m: MassPair, k: Quasimomentum, grid: MomentumGrid, z: float, above: bool = False
-) -> np.ndarray:
-    """1 / (E - z) over the grid, N x N x N, for z below every sample of E
-    (or above every one); otherwise ZNotBelowBandError."""
-    resolvent = _band_samples(m, k, grid)
-    edge = float(resolvent.max() if above else resolvent.min())
+def _sampled_band(factors: AxisFactors) -> tuple[float, float]:
+    """Smallest and largest sample of E = (e_1 + e_2) + e_3 over the grid.
+    Float addition is monotone in each argument, so (min e_1 + min e_2) +
+    min e_3 is the smallest summed sample exactly, and likewise the largest."""
+    e1, e2, e3 = factors
+    return (
+        float((e1.min() + e2.min()) + e3.min()),
+        float((e1.max() + e2.max()) + e3.max()),
+    )
+
+
+def _require_outside_band(factors: AxisFactors, z: float, above: bool = False) -> None:
+    """ZNotBelowBandError unless z lies below every sample of E (or above
+    every one)."""
+    low, high = _sampled_band(factors)
+    edge = high if above else low
     if not ((z > edge) if above else (z < edge)):  # NaN fails too
         side = "above the grid-sampled dispersion maximum" if above else (
             "below the grid-sampled dispersion minimum")
         raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
-    resolvent -= z
-    np.reciprocal(resolvent, out=resolvent)  # in place
-    return resolvent
 
 
-def _support_gram(kernel: np.ndarray, pot: Potential, grid: MomentumGrid) -> np.ndarray:
+def _resolvent_kernel(z: float) -> Kernel:
+    """1 / (E - z), in place on a slab of E."""
+
+    def kernel(e: np.ndarray) -> None:
+        e -= z
+        np.reciprocal(e, out=e)
+
+    return kernel
+
+
+def _support_gram(
+    factors: AxisFactors, kernel: Kernel, pot: Potential, grid: MomentumGrid
+) -> np.ndarray:
     """r x r Hermitian matrix sqrt|v(x) v(y)| T_K(y - x) over the sorted sites.
 
-    T_K(u) = (1/N^3) sum_n exp(i (q_n, u)) K(q_n) for the N x N x N kernel
-    array K.  exp(i (q, u)) is a product of three one-axis phases, so T_K is
+    T_K(u) = (1/N^3) sum_n exp(i (q_n, u)) K(E(q_n)), with E summed from
+    its axis factors as (e_1 + e_2) + e_3 and K applied in place to a slab
+    of E.  exp(i (q, u)) is a product of three one-axis phases, so T_K is
     computed for every needed difference at once by contracting K against
     the per-axis phase vectors, one axis at a time.  Each axis has at most
     4R + 1 distinct differences (R the support radius), so the cost is
-    O(N^3 |U|) multiply-adds and the memory O(N^3) reals; no N^3 x r phase
-    matrix and no N^3 x 3 node array is built.  The potential is nonempty.
+    O(N^3 |U|) multiply-adds.  The grid is streamed in slabs of axis-1
+    planes of at most GRAM_SLAB_NODES nodes (one plane when a plane is
+    larger), each contracted and added into the Green table before the
+    next is formed, so the memory is O(N^2) reals; no N^3 array is built.
+    The potential is nonempty.
     """
+    e1, e2, e3 = factors
     a = grid.axis_nodes()
     sites = pot.sorted_sites()
     s = np.array(sites)  # (r, 3)
     diff = s[None, :, :] - s[:, None, :]  # (r, r, 3): y - x
-    u1, u2, u3 = (np.unique(diff[..., j]) for j in range(3))
+    u1, u2, u3 = (np.array(sorted(set(diff[..., j].ravel().tolist()))) for j in range(3))
     # axis 3 as one real matmul against [cos | sin] of its phases, then the
     # two small complex contractions over axes 2 and 1
     n, w = grid.n_per_dim, len(u3)
     ang = np.outer(a, u3)
-    part = kernel.reshape(n * n, n) @ np.hstack([np.cos(ang), np.sin(ang)])
-    part = (part[:, :w] + 1j * part[:, w:]).reshape(n, n, w)
+    phase3 = np.hstack([np.cos(ang), np.sin(ang)])
     p1, p2 = np.exp(1j * np.outer(a, u1)), np.exp(1j * np.outer(a, u2))
-    green = np.einsum("abw,bv,au->uvw", part, p2, p1, optimize=True) / grid.dim
+    e12 = e1[:, None] + e2[None, :]
+    planes = max(1, GRAM_SLAB_NODES // (n * n))
+    green = np.zeros((len(u1), len(u2), w), dtype=complex)
+    for lo in range(0, n, planes):
+        slab = e12[lo : lo + planes, :, None] + e3[None, None, :]
+        kernel(slab)
+        part = slab.reshape(-1, n) @ phase3
+        part = (part[:, :w] + 1j * part[:, w:]).reshape(-1, n, w)
+        green += np.einsum("abw,bv,au->uvw", part, p2, p1[lo : lo + planes], optimize=True)
+    green /= grid.dim
     gram = green[
         np.searchsorted(u1, diff[..., 0]),
         np.searchsorted(u2, diff[..., 1]),
@@ -460,10 +505,12 @@ def bs_support_eigenvalues(
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     _require_grid_fits(pot, grid)
-    resolvent = _resolvent(m, k, grid, z)
+    factors = _axis_factors(m, k, grid)
+    _require_outside_band(factors, z)
     if pot.is_empty():
         return np.zeros(0)
-    return _require_psd(_eigvalsh(_support_gram(resolvent, pot, grid)))
+    gram = _support_gram(factors, _resolvent_kernel(z), pot, grid)
+    return _require_psd(_eigvalsh(gram))
 
 
 def bs_difference_norm(
@@ -485,16 +532,23 @@ def bs_difference_norm(
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     _require_grid_fits(pot, grid)
-    e = _band_samples(m, k, grid)
-    e_low = float(e.min())
+    factors = _axis_factors(m, k, grid)
+    e_low = _sampled_band(factors)[0]
     if not z < z0 < e_low:
         raise ZNotBelowBandError(
             f"need z={z} < z0={z0} < the grid-sampled dispersion minimum {e_low}"
         )
     if pot.is_empty():
         return 0.0
-    kernel = (z0 - z) / ((e - z0) * (e - z))
-    return float(_require_psd(_eigvalsh(_support_gram(kernel, pot, grid)))[-1])
+
+    def kernel(e: np.ndarray) -> None:
+        shifted = e - z0
+        e -= z
+        e *= shifted
+        np.divide(z0 - z, e, out=e)
+
+    gram = _support_gram(factors, kernel, pot, grid)
+    return float(_require_psd(_eigvalsh(gram))[-1])
 
 
 def _count_outside_band(
@@ -506,10 +560,11 @@ def _count_outside_band(
     above: bool,
 ) -> int:
     _require_grid_fits(pot, grid)
-    resolvent = _resolvent(m, k, grid, z, above)
+    factors = _axis_factors(m, k, grid)
+    _require_outside_band(factors, z, above)
     if pot.is_empty():
         return 0
-    gram = _support_gram(resolvent, pot, grid)
+    gram = _support_gram(factors, _resolvent_kernel(z), pot, grid)
     _require_psd(_eigvalsh(-gram if above else gram))
     signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
     inertia = _eigvalsh(np.diag(signs) - gram)

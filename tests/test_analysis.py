@@ -192,6 +192,15 @@ def threshold_instances(draw):
     return m, base.scaled(coupling), grid, unit_tol
 
 
+def odd_branch_potential(grid: MomentumGrid) -> Potential:
+    """The value on +-e1 that puts the odd-sector eigenvalue of G(0, 0) at 1."""
+    diag = dispersion_on_grid(M11, K0, grid)
+    q1 = grid.nodes()[:, 0]
+    a = np.mean(1.0 / diag)
+    b = np.mean(np.cos(2.0 * q1) / diag)
+    return Potential({(1, 0, 0): 1.0 / (a - b)})
+
+
 class TestResonanceAnalysis:
     @settings(max_examples=40, deadline=None)
     @given(threshold_instances())
@@ -242,12 +251,7 @@ class TestResonanceAnalysis:
         # coupling onto the odd branch gives a unit eigenvector orthogonal
         # to the (even) kernel vector
         grid = MomentumGrid(8)
-        diag = dispersion_on_grid(M11, K0, grid)
-        q1 = grid.nodes()[:, 0]
-        a = np.mean(1.0 / diag)
-        b = np.mean(np.cos(2.0 * q1) / diag)
-        pot = Potential({(1, 0, 0): 1.0 / (a - b)})
-        rep = resonance_analysis(M11, pot, grid)
+        rep = resonance_analysis(M11, odd_branch_potential(grid), grid)
         assert rep.classification == "zero_eigenvalue"
         assert rep.multiplicity == 1
 
@@ -345,6 +349,16 @@ class TestExistence:
         lam_star = critical_coupling(M11, point_potential(1.0), grid).lambda_star
         with pytest.raises(PreconditionError):
             verify_existence(M11, point_potential(0.5 * lam_star), [K0], grid)
+
+    def test_supercritical_h0_is_a_precondition_failure(self):
+        # the odd +-e1 branch: a unit Gram eigenvalue on the odd sector, but
+        # the even one is above 1, so H(0) has a negative eigenvalue and the
+        # theorem's hypothesis H(0) >= 0 fails
+        grid = MomentumGrid(8)
+        pot = odd_branch_potential(grid)
+        assert resonance_analysis(M11, pot, grid).lambda_max == pytest.approx(1.2395, abs=1e-4)
+        with pytest.raises(PreconditionError, match="not nonnegative"):
+            verify_existence(M11, pot, [Quasimomentum(1, 1, 1)], grid)
 
     def test_threshold_absorption_trend(self):
         # the below-band eigenvalue shrinks to the band bottom as k -> 0

@@ -365,6 +365,23 @@ class TestArgumentValidation:
         assert code == 2
 
 
+class TestExistencePrecondition:
+    def test_supercritical_h0_exits_two(self, capsys, tmp_path):
+        # the odd +-e1 branch at N = 8: G(0, 0) has the eigenvalue 1.24 on
+        # the even sector, so H(0) is not nonnegative; that is an unmet
+        # precondition, not a failed verification
+        grid = MomentumGrid(8)
+        diag = lattice_spectra.dispersion_on_grid(MassPair(1, 1), Quasimomentum(0, 0, 0), grid)
+        q1 = grid.nodes()[:, 0]
+        v = 1.0 / (np.mean(1.0 / diag) - np.mean(np.cos(2.0 * q1) / diag))
+        pot = tmp_path / "odd.json"
+        pot.write_text(json.dumps({"sites": [{"s": [1, 0, 0], "v": v}]}))
+        code, out, err = run(capsys, "verify", "--suite", "existence", "--grid", "8",
+                             "--potential", str(pot), "--k=1,1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not nonnegative" in err
+
+
 class TestNonFiniteFlags:
     # each flag once with NaN, once with an infinity; argparse takes both
     @pytest.mark.parametrize("value", ["nan", "inf"])

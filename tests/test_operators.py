@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from lattice_spectra.errors import (
 )
 from lattice_spectra.sampling import random_masses, random_potential, random_quasimomentum
 
-from conftest import k_pi, point_potential
+from conftest import axis_profile, k_pi, point_potential
 from oracles import build_bs, build_h, build_v, build_vhalf, parity_blocks_of_v
 
 K0 = Quasimomentum(0, 0, 0)
@@ -273,6 +276,134 @@ class TestSupportGram:
         small = bs_support_eigenvalues(m, k, pot, z, grid)
         ref = self._fft_gram_eigenvalues(m, k, pot, z, grid)
         assert np.allclose(small, ref, rtol=1e-12, atol=0.0)
+
+
+def fft_gram(m, k, pot, z, grid):
+    """The Gram of 1/(E - z) from ifftn of the kernel over the whole grid,
+    gathered at the site differences y - x."""
+    n = grid.n_per_dim
+    diag = dispersion_on_grid(m, k, grid).reshape(n, n, n)
+    green = np.fft.ifftn(1.0 / (diag - z))
+    theta = -math.pi + grid.offset * (2.0 * math.pi / n)  # node at index 0
+    sites = np.array(pot.sorted_sites())
+    d = sites[None, :, :] - sites[:, None, :]
+    g = green[d[..., 0] % n, d[..., 1] % n, d[..., 2] % n]
+    g = g * np.exp(1j * theta * d.sum(axis=-1))
+    root = np.sqrt([pot.entries[tuple(s)] for s in sites])
+    gram = root[:, None] * g * root[None, :]
+    return 0.5 * (gram + gram.conj().T)
+
+
+@st.composite
+def streamed_gram_instances(draw):
+    """A ``gram_instances`` draw at N = 90 (whose last slab of planes is
+    partial at the default cap) or at N up to 10 with a slab cap that
+    leaves from one to a few planes per slab, some slabs partial."""
+    m, k, pot, z, grid = draw(gram_instances())
+    if draw(st.booleans()):
+        return m, k, pot, z, MomentumGrid(90, grid.offset), operators.GRAM_SLAB_NODES
+    n = grid.n_per_dim
+    cap = draw(st.sampled_from([1, n * n + 1, 3 * n * n - 1, operators.GRAM_SLAB_NODES]))
+    return m, k, pot, z, grid, cap
+
+
+class TestStreamedGram:
+    @settings(max_examples=30, deadline=None)
+    @given(streamed_gram_instances())
+    def test_matches_fft_reference(self, inst):
+        # the slab-by-slab contraction against an FFT over the whole grid:
+        # unequal masses and generic k, so the Gram is complex
+        m, k, pot, z, grid, cap = inst
+        factors = operators._axis_factors(m, k, grid)
+        with mock.patch.object(operators, "GRAM_SLAB_NODES", cap):
+            gram = operators._support_gram(factors, operators._resolvent_kernel(z), pot, grid)
+        ref = fft_gram(m, k, pot, z, grid)
+        assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_partial_last_slab_at_n90(self):
+        n = 90
+        planes = operators.GRAM_SLAB_NODES // (n * n)
+        assert 1 < planes < n and n % planes != 0
+
+    def test_peak_memory_is_below_one_eighth_of_an_n3_array(self):
+        # one N^3 array of float64 takes 8 N^3 bytes; the streamed Gram
+        # routes stay under N^3 bytes at N = 128
+        m, k = MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8)
+        pot = Potential({(0, 0, 0): 2.0, (1, 2, 0): 0.5, (0, -1, 2): 0.7, (2, 1, -1): 0.3})
+        grid = MomentumGrid(128)
+        z = band_geometry(m, k).e_min - 0.05
+        routes = [
+            lambda: bs_support_eigenvalues(m, k, pot, z, grid),
+            lambda: operators.bs_difference_norm(m, k, pot, z + 0.01, z, grid),
+            lambda: fiber_count_below(m, k, pot, z, grid),
+            lambda: analysis.resonance_analysis(MassPair(1.0, 1.0), pot, grid),
+        ]
+        for route in routes:
+            tracemalloc.start()
+            try:
+                route()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < grid.dim
+
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+    def test_band_check_at_the_sampled_edges(self, offset):
+        # the band check uses the extremes of the summed axis factors,
+        # (e_1 + e_2) + e_3: z exactly at an edge is refused, the next
+        # float outside it is not
+        m, k, grid = MassPair(1.0, 2.5), Quasimomentum(0.3, -1.1, 2.0), MomentumGrid(7, offset)
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5})
+        e1, e2, e3 = (axis_profile(m, kj)(grid.axis_nodes()) for kj in k.components)
+        samples = e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
+        low, high = float(samples.min()), float(samples.max())
+        below, above = np.nextafter(low, -math.inf), np.nextafter(high, math.inf)
+        for call, edge, outside in [
+            (lambda z: bs_support_eigenvalues(m, k, pot, z, grid), low, below),
+            (lambda z: fiber_count_below(m, k, pot, z, grid), low, below),
+            (lambda z: fiber_count_above(m, k, pot, z, grid), high, above),
+            (lambda z: operators.bs_difference_norm(m, k, pot, z, z - 1.0, grid), low, below),
+        ]:
+            with pytest.raises(ZNotBelowBandError):
+                call(edge)
+            call(outside)
+
+    def test_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, a cost paid by every run
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lattice_spectra.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = (
+            "import sys\n"
+            "from lattice_spectra import *\n"
+            "pot = Potential({(0, 0, 0): 2.0, (1, 2, 0): 0.5, (0, -1, 2): 0.7})\n"
+            "bs_support_eigenvalues(MassPair(1, 2), Quasimomentum(0.3, 0.2, 0.1), pot,"
+            " -1.0, MomentumGrid(8))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_gram_routes_build_no_node_array(self, monkeypatch):
+        # no N^3 x 3 node array and no N^3 dispersion samples on the Gram
+        # routes, the checks of the three analysis functions included
+        def refuse(*args, **kwargs):
+            raise AssertionError("N^3 sampling on a Gram route")
+
+        monkeypatch.setattr(MomentumGrid, "nodes", refuse)
+        for module in (lattice_spectra.dispersion, operators, analysis):
+            if hasattr(module, "dispersion_on_grid"):
+                monkeypatch.setattr(module, "dispersion_on_grid", refuse)
+        pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(8)
+        m, k = MassPair(1.0, 2.0), Quasimomentum(0.3, -1.1, 2.0)
+        analysis.resonance_analysis(MassPair(1.0, 1.0), pot, grid)
+        analysis.continuity_exponent(m, k, pot, grid)
+        analysis.critical_coupling(m, pot, grid, refine=True)
+        analysis.threshold_count(m, k, pot, grid)
+        rep = analysis.verify_cheksiz(MassPair(1.0, 1.0), Quasimomentum(math.pi, 0.4, 0.2),
+                                      pot, grid)
+        assert rep.h0_constant_along_axis
 
 
 @st.composite
