@@ -13,9 +13,8 @@ Usage: python3 scripts/emergence_sweep.py [--grid 10] [--points 9]
 import argparse
 import math
 
-import numpy as np
-
-from lattice_spectra import (
+# lattice_spectra before numpy, so that its BLAS thread policy applies
+from lattice_spectra import (  # isort: skip
     MassPair,
     MomentumGrid,
     Potential,
@@ -25,6 +24,8 @@ from lattice_spectra import (
     fiber_eigenvalues,
     fiber_potential,
 )
+
+import numpy as np  # noqa: E402
 
 
 def main() -> None:

@@ -6,6 +6,8 @@ band are counted both directly and through the Birman-Schwinger operator;
 zero-energy thresholds are classified as resonances or zero eigenvalues.
 """
 
+# first, before any module that imports numpy: sets the BLAS thread policy
+from . import parallel  # noqa: F401  # isort: skip
 from .analysis import (
     BSCheck,
     CheksizReport,

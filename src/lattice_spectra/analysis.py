@@ -470,8 +470,10 @@ def verify_neraven(
     Checks n_-(e_min, H) >= n_+(w_b, V) against the exact potential
     spectrum, the two-sided corollary with |V|, and, for equal masses at
     k = (pi, pi, pi), the exact integer equalities against the 6/m level.
-    No dense H(k) is built.  The counts outside the band are the r x r
-    inertia counts ``fiber_count_below``/``fiber_count_above`` at
+    No dense H(k) and no N^3 array is built: the potential spectrum is its
+    r support values and the multiplicity N^3 - r of 0.  The counts
+    outside the band are the r x r inertia counts
+    ``fiber_count_below``/``fiber_count_above`` at
     e_min - margin - tie_tol and e_max + margin + tie_tol, which is what
     ``count_below``/``count_above`` with that tie band give on the dense
     spectrum.  On the flat band (equal masses at k = (pi, pi, pi)) H0(k)
@@ -481,28 +483,28 @@ def verify_neraven(
     scale bounds every |eigenvalue| of H(k).
     """
     geo = band_geometry(m, k)
-    vspec = potential_spectrum(pot, grid)
+    vspec, mult = potential_spectrum(pot, grid)
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
     lo, hi = geo.e_min - edge_margin, geo.e_max + edge_margin
     scalar_case = None
     level = flat_band_level(m, k)
     if level is not None:
         eigs_h = level - vspec
-        lhs = count_below(lo, eigs_h, tol)
-        n_above = count_above(hi, eigs_h, tol)
-        nb_h = count_below(level, eigs_h, tol)
-        na_v = count_above(0.0, vspec, tol)
-        na_h = count_above(level, eigs_h, tol)
-        nb_v = count_below(0.0, vspec, tol)
+        lhs = count_below(lo, eigs_h, tol, mult)
+        n_above = count_above(hi, eigs_h, tol, mult)
+        nb_h = count_below(level, eigs_h, tol, mult)
+        na_v = count_above(0.0, vspec, tol, mult)
+        na_h = count_above(level, eigs_h, tol, mult)
+        nb_v = count_below(0.0, vspec, tol, mult)
         scalar_case = ScalarCaseCheck(
             level, nb_h, na_v, na_h, nb_v, nb_h == na_v and na_h == nb_v
         )
     else:
         lhs = fiber_count_below(m, k, pot, lo - tol, grid)
         n_above = fiber_count_above(m, k, pot, hi + tol, grid)
-    rhs = count_above(geo.w_b, vspec, tol)
+    rhs = count_above(geo.w_b, vspec, tol, mult)
     cor_lhs = lhs + n_above
-    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol)
+    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol, mult)
     return NeravenReport(
         geo.w_b, lhs, rhs, lhs >= rhs, cor_lhs, cor_rhs, cor_lhs >= cor_rhs, scalar_case
     )

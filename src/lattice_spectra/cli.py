@@ -296,8 +296,8 @@ def _suite_threshold(cfg: RunConfig) -> dict:
             direct = fiber_count_below(
                 cfg.masses, k, cfg.potential, geo.e_min - tol, cfg.grid)
         else:
-            exact = level - potential_spectrum(cfg.potential, cfg.grid)
-            direct = count_below(geo.e_min, exact, tol)
+            vspec, mult = potential_spectrum(cfg.potential, cfg.grid)
+            direct = count_below(geo.e_min, level - vspec, tol, mult)
         match = (not tc.divergent) and tc.stabilized == direct
         records.append(
             {"k": list(k.components), "counts": list(tc.counts),

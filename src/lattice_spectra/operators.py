@@ -139,16 +139,21 @@ def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     return GridOperator(np.diag(diag), grid, "H0")
 
 
-def potential_spectrum(pot: Potential, grid: MomentumGrid) -> np.ndarray:
-    """Exact eigenvalue multiset of V: v-hat over the centered position box."""
+def potential_spectrum(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Exact eigenvalue multiset of V as (values, multiplicities): the r
+    support values of v-hat, ascending, once each, then 0 with multiplicity
+    N^3 - r.
+
+    V is v-hat on the centered box of N^3 lattice sites, and with
+    N >= 2R + 1 the box holds every supported site exactly once.  Pass
+    the multiplicities to ``count_below``/``count_above``; no N^3 array
+    is formed.
+    """
     _require_grid_fits(pot, grid)
-    n = grid.n_per_dim
-    lo = -((n - 1) // 2)
-    box = range(lo, lo + n)
-    vals = [
-        pot.value((x1, x2, x3)) for x1 in box for x2 in box for x3 in box
-    ]
-    return np.sort(np.array(vals))
+    support = np.sort(np.fromiter(pot.entries.values(), float, len(pot.entries)))
+    mult = np.ones(support.size + 1, dtype=np.int64)
+    mult[-1] = grid.dim - support.size
+    return np.append(support, 0.0), mult
 
 
 # The sampled dispersion counts as parity-even when E(q) and E(-q) agree to

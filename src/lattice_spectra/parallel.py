@@ -1,4 +1,14 @@
-"""Order-preserving parallel map over independent pure jobs.
+"""Thread policy of the package and its order-preserving parallel map.
+
+The program has one level of parallelism: ``parallel_map``, one job per k.
+Each job is a small eigensolve (a dense block of a few hundred rows or an
+r x r Gram), which a second BLAS thread does not speed up, and BLAS threads
+on top of the map's workers oversubscribe the cores.  So when this package
+is the first to load numpy, and none of BLAS_VARS is set, this module (the
+first the package imports) sets OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to
+1 before numpy loads.  A BLAS variable set by the user always wins; once
+numpy is loaded the environment is left alone, since the setting could no
+longer take effect.
 
 Worker count is set by the LATTICE_SPECTRA_THREADS environment variable
 (absent means one worker per core) and never exceeds the core count or
@@ -9,8 +19,8 @@ parallelism is invisible in any output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+import sys
+from typing import Callable, Sequence, TypeVar
 
 from .errors import ThreadCountError
 
@@ -18,6 +28,17 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 ENV_VAR = "LATTICE_SPECTRA_THREADS"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_VARS):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["MKL_NUM_THREADS"] = "1"
+
+
+_one_blas_thread()
 
 
 def worker_count() -> int:
@@ -39,5 +60,9 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     workers = min(worker_count(), max(1, len(items)))
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: it pulls in logging, queue and traceback, which the
+    # commands that start no pool do not need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -79,16 +79,30 @@ def default_tie_tol(eigenvalues: Sequence[float]) -> float:
     return 1e-9 * max(1.0, scale)
 
 
-def count_below(mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0) -> int:
-    """Number of eigenvalues strictly below mu - tie_tol."""
-    arr = np.asarray(eigenvalues, dtype=float)
-    return int(np.count_nonzero(arr < mu - tie_tol))
+def _count(mask: np.ndarray, multiplicity: Optional[Sequence[int]]) -> int:
+    if multiplicity is None:
+        return int(np.count_nonzero(mask))
+    return int(np.asarray(multiplicity)[mask].sum())
 
 
-def count_above(mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0) -> int:
-    """Number of eigenvalues strictly above mu + tie_tol."""
+def count_below(
+    mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0,
+    multiplicity: Optional[Sequence[int]] = None,
+) -> int:
+    """Number of eigenvalues strictly below mu - tie_tol, eigenvalue i
+    counted multiplicity[i] times when multiplicities are given."""
     arr = np.asarray(eigenvalues, dtype=float)
-    return int(np.count_nonzero(arr > mu + tie_tol))
+    return _count(arr < mu - tie_tol, multiplicity)
+
+
+def count_above(
+    mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0,
+    multiplicity: Optional[Sequence[int]] = None,
+) -> int:
+    """Number of eigenvalues strictly above mu + tie_tol, eigenvalue i
+    counted multiplicity[i] times when multiplicities are given."""
+    arr = np.asarray(eigenvalues, dtype=float)
+    return _count(arr > mu + tie_tol, multiplicity)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,19 @@ def build_vhalf(pot: Potential, grid: MomentumGrid) -> GridOperator:
     return GridOperator(_convolution_matrix(roots, grid), grid, "Vhalf")
 
 
+def position_box_values(pot: Potential, grid: MomentumGrid) -> np.ndarray:
+    """Eigenvalues of V, ascending: v-hat at each of the N^3 sites of the
+    centered position box, read one site at a time."""
+    _require_grid_fits(pot, grid)
+    n = grid.n_per_dim
+    lo = -((n - 1) // 2)
+    box = range(lo, lo + n)
+    vals = [
+        pot.value((x1, x2, x3)) for x1 in box for x2 in box for x3 in box
+    ]
+    return np.sort(np.array(vals))
+
+
 def build_h(
     m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
 ) -> GridOperator:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,25 @@ class TestNeraven:
         rep = verify_neraven(M11, K0, point_potential(1.0), MomentumGrid(6))
         assert rep.rhs == 0
         assert rep.holds
+
+    @pytest.mark.parametrize("m, k", [(M11, k_pi()), (MassPair(1.0, 2.5), Quasimomentum(0.3, -1.1, 2.0))])
+    def test_n64_allocates_no_n3_array(self, m, k):
+        # the potential spectrum is r values and a zero multiplicity, and the
+        # counts outside the band stream the Gram: the traced peak stays
+        # below one float64 array of N^3 entries
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -1.0})
+        grid = MomentumGrid(64)
+        tracemalloc.start()
+        try:
+            rep = verify_neraven(m, k, pot, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.dim
+        assert rep.all_ok
+        if rep.scalar_case is not None:
+            sc = rep.scalar_case
+            assert (sc.n_below_h, sc.n_above_v_zero, sc.n_above_h, sc.n_below_v_zero) == (1, 1, 2, 2)
 
     def test_grid_suites_build_no_dense_matrix(self, monkeypatch, capsys, tmp_path):
         def refuse(*args, **kwargs):

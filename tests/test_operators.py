@@ -44,9 +44,21 @@ from lattice_spectra.errors import (
 from lattice_spectra.sampling import random_masses, random_potential, random_quasimomentum
 
 from conftest import axis_profile, k_pi, point_potential
-from oracles import build_bs, build_h, build_v, build_vhalf, parity_blocks_of_v
+from oracles import (
+    build_bs,
+    build_h,
+    build_v,
+    build_vhalf,
+    parity_blocks_of_v,
+    position_box_values,
+)
 
 K0 = Quasimomentum(0, 0, 0)
+
+
+def spectrum_multiset(pot, grid):
+    """``potential_spectrum`` expanded to its N^3 eigenvalues, ascending."""
+    return np.sort(np.repeat(*potential_spectrum(pot, grid)))
 
 
 def test_dense_oracles_are_not_library_api():
@@ -99,7 +111,7 @@ class TestBuildV:
         grid = MomentumGrid(5)
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0})
         eigs = np.sort(np.linalg.eigvalsh(build_v(pot, grid).matrix))
-        assert np.allclose(eigs, potential_spectrum(pot, grid), atol=1e-9)
+        assert np.allclose(eigs, spectrum_multiset(pot, grid), atol=1e-9)
 
     @pytest.mark.parametrize("seed,n", [(0, 4), (1, 5), (2, 6), (3, 7)])
     def test_fourier_duality_random(self, seed, n):
@@ -107,7 +119,7 @@ class TestBuildV:
         pot = random_potential(rng, radius=1, nonnegative=False)
         grid = MomentumGrid(n, offset=float(rng.uniform(0, 1)))
         eigs = np.sort(np.linalg.eigvalsh(build_v(pot, grid).matrix))
-        assert np.allclose(eigs, potential_spectrum(pot, grid), atol=1e-9)
+        assert np.allclose(eigs, spectrum_multiset(pot, grid), atol=1e-9)
 
     def test_grid_too_small(self):
         pot = Potential({(2, 0, 0): 1.0})
@@ -118,18 +130,51 @@ class TestBuildV:
 
 class TestPotentialSpectrum:
     def test_point(self):
-        spec = potential_spectrum(point_potential(2.0), MomentumGrid(3))
-        assert list(spec) == [0.0] * 26 + [2.0]
+        values, mult = potential_spectrum(point_potential(2.0), MomentumGrid(3))
+        assert list(values) == [2.0, 0.0] and list(mult) == [1, 26]
 
     def test_axis_pair(self):
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0})
-        spec = potential_spectrum(pot, MomentumGrid(3))
+        spec = spectrum_multiset(pot, MomentumGrid(3))
         assert list(spec) == [0.0] * 24 + [1.0, 1.0, 2.0]
 
     def test_positive_count(self):
         pot = Potential({(1, 0, 0): 3.0, (0, 1, 0): 1.0})
-        spec = potential_spectrum(pot, MomentumGrid(5))
-        assert int(np.count_nonzero(spec > 0)) == 4
+        values, mult = potential_spectrum(pot, MomentumGrid(5))
+        assert count_above(0.0, values, 0.0, mult) == 4
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_multiset_matches_position_box(self, n):
+        # r support values plus N^3 - r zeros is the box of N^3 values,
+        # odd and even N, whenever N >= 2R + 1
+        rng = np.random.default_rng(n)
+        for radius in range(1, (n - 1) // 2 + 1):
+            for nonnegative in (True, False):
+                pot = random_potential(rng, radius=radius, nonnegative=nonnegative)
+                grid = MomentumGrid(n, float(rng.uniform(0, 1)))
+                values, mult = potential_spectrum(pot, grid)
+                assert values.size == len(pot.entries) + 1 and mult.sum() == n**3
+                assert np.array_equal(np.sort(np.repeat(values, mult)),
+                                      position_box_values(pot, grid))
+
+    def test_full_box_has_no_zero(self):
+        span = range(-1, 2)
+        pot = Potential({(a, b, c): 1.0 for a in span for b in span for c in span})
+        values, mult = potential_spectrum(pot, MomentumGrid(3))
+        assert list(mult) == [1] * 27 + [0]
+        assert count_below(0.5, values, 0.0, mult) == 0
+
+    def test_grid_too_small(self):
+        with pytest.raises(GridTooSmallError):
+            potential_spectrum(Potential({(2, 0, 0): 1.0}), MomentumGrid(4))
+
+    def test_multiset_counts(self):
+        # each value counts as often as its multiplicity, on both sides
+        values, mult = np.array([-1.0, 0.5, 0.0]), np.array([1, 2, 5])
+        assert count_below(0.0, values, 0.0, mult) == 1
+        assert count_above(0.0, values, 0.0, mult) == 2
+        assert count_below(0.6, values, 0.0, mult) == 8
+        assert count_above(-1.0, values, 0.1, mult) == 7
 
 
 class TestBuildH:
@@ -392,7 +437,9 @@ class TestStreamedGram:
             raise AssertionError("N^3 sampling on a Gram route")
 
         monkeypatch.setattr(MomentumGrid, "nodes", refuse)
-        for module in (lattice_spectra.dispersion, operators, analysis):
+        # the package attribute lattice_spectra.dispersion is the function
+        # dispersion, so the module is taken from sys.modules
+        for module in (sys.modules["lattice_spectra.dispersion"], operators, analysis):
             if hasattr(module, "dispersion_on_grid"):
                 monkeypatch.setattr(module, "dispersion_on_grid", refuse)
         pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(8)
