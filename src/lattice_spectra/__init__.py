@@ -21,6 +21,7 @@ from .analysis import (
     ZSchedule,
     bs_check,
     continuity_exponent,
+    count_below_band,
     critical_coupling,
     positivity_check,
     resonance_analysis,

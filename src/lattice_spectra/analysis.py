@@ -125,7 +125,6 @@ def threshold_count(
     pot: Potential,
     grid: MomentumGrid,
     schedule: ZSchedule = ZSchedule(),
-    tie_tol: Optional[float] = None,
 ) -> ThresholdCount:
     """Track n_+(1, G(k, z_i)) along a z-schedule approaching the band bottom.
 
@@ -141,14 +140,18 @@ def threshold_count(
             counts.append(0)
             continue
         eigs = bs_support_eigenvalues(m, k, pot, z, grid)
-        tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
-        counts.append(count_above(1.0, eigs, tol))
+        counts.append(count_above(1.0, eigs, default_tie_tol(eigs)))
     stabilized = counts[-1] if len(set(counts[-3:])) == 1 else None
     return ThresholdCount(tuple(zs), tuple(counts), stabilized)
 
 
 # ---------------------------------------------------------------------------
 # Threshold classification at k = 0, z = 0
+
+
+# Default half-width of the unit window and resonance overlap cut
+UNIT_TOL = 1e-6
+OVERLAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ class ThresholdReport:
     lambda_max: float
     unit_eigenvalues: tuple[UnitEigenvalue, ...]
     classification: str  # none | resonance | zero_eigenvalue | resonance_plus_zero_eigenvalue
-    multiplicity: int  # number of unit eigenvectors orthogonal to the kernel vector
+    multiplicity: int  # zero eigenvalues: dim of the unit eigenspace, less one with a resonance
     ambiguous: bool
 
     @property
@@ -170,12 +173,50 @@ class ThresholdReport:
         return self.classification in ("resonance", "resonance_plus_zero_eigenvalue")
 
 
+def _threshold_report(
+    eigs: np.ndarray, vecs: np.ndarray, kernel: np.ndarray, unit_tol: float, overlap_tol: float
+) -> ThresholdReport:
+    """Classify the unit eigenspace U of a Birman-Schwinger operator from its
+    eigenpairs (eigs ascending) and the half-potential kernel vector in the
+    same coordinates, whatever basis of U the eigensolver picked.
+
+    U holds one resonance when the projection p of the kernel vector onto U
+    has |p| / |kernel| > overlap_tol (``ambiguous`` within a factor 10 of
+    it); the rest of dim U are zero eigenvalues.  With a resonance, U is
+    listed in a basis led by p / |p| (its Rayleigh quotient and overlap),
+    then the eigenvectors of the operator compressed to the rest of U
+    (overlap 0); without one, in the eigenbasis, each overlap <= overlap_tol.
+    """
+    unit = np.abs(eigs - 1.0) <= unit_tol
+    lam = eigs[unit]
+    coef = vecs[:, unit].conj().T @ kernel / np.linalg.norm(kernel)
+    overlap = float(np.linalg.norm(coef))
+    resonance = overlap > overlap_tol
+    values, overlaps = lam, np.abs(coef)
+    if resonance:
+        # unitary change of basis of U whose first column is coef / |coef|
+        rest = np.linalg.qr(np.column_stack([coef, np.eye(len(lam))]))[0][:, 1:]
+        values = [float(lam @ np.abs(coef) ** 2) / overlap**2,
+                  *np.linalg.eigvalsh(rest.conj().T @ (lam[:, None] * rest))]
+        overlaps = [overlap] + [0.0] * (len(lam) - 1)
+    n_zero = len(lam) - int(resonance)
+    names = {(True, True): "resonance_plus_zero_eigenvalue", (True, False): "resonance",
+             (False, True): "zero_eigenvalue", (False, False): "none"}
+    return ThresholdReport(
+        float(eigs[-1]),
+        tuple(UnitEigenvalue(float(v), float(o)) for v, o in zip(values, overlaps)),
+        names[resonance, n_zero > 0],
+        n_zero,
+        0.1 * overlap_tol < overlap <= 10.0 * overlap_tol,
+    )
+
+
 def resonance_analysis(
     m: MassPair,
     pot: Potential,
     grid: MomentumGrid,
-    unit_tol: float = 1e-6,
-    overlap_tol: float = 1e-6,
+    unit_tol: float = UNIT_TOL,
+    overlap_tol: float = OVERLAP_TOL,
 ) -> ThresholdReport:
     """Classify the zero-energy threshold of H(0).
 
@@ -183,12 +224,11 @@ def resonance_analysis(
     sample is strictly positive.  G(0, 0) = P K P* with P the N^3 x r plane
     waves of the sites over N^{3/2} (P* P = I), so its nonzero eigenpairs
     are (lambda, P c) for the eigenpairs (lambda, c) of the r x r Gram K
-    with kernel 1/E (``_support_gram``).  Eigenvalues within unit_tol of 1
-    are sorted into resonance (eigenvector overlapping the half-potential
-    kernel vector, which is N^{3/2} P sqrt(v)) versus genuine zero
-    eigenvectors; the overlap is |<sqrt(v), c>| / (|sqrt(v)| |c|).  Both
-    tolerances lie in (0, 1), so the zero eigenvalues of G, off the Gram,
-    are never within unit_tol of 1.
+    with kernel 1/E (``_support_gram``), and the half-potential kernel
+    vector N^{3/2} P sqrt(v) has the coordinates sqrt(v) there.
+    ``_threshold_report`` sorts the eigenvalues within unit_tol of 1 into a
+    resonance and zero eigenvalues.  Both tolerances lie in (0, 1), so the
+    zero eigenvalues of G, off the Gram, are never within unit_tol of 1.
     """
     for name, tol in (("unit_tol", unit_tol), ("overlap_tol", overlap_tol)):
         if not 0.0 < tol < 1.0:  # NaN fails too
@@ -212,33 +252,7 @@ def resonance_analysis(
         raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
     _require_psd(eigs)
     root = np.sqrt([pot.entries[s] for s in pot.sorted_sites()])
-    units = []
-    ambiguous = False
-    n_zero = 0
-    n_res = 0
-    for i in range(len(eigs)):
-        if abs(eigs[i] - 1.0) > unit_tol:
-            continue
-        c = vecs[:, i]
-        overlap = abs(root @ c) / float(np.linalg.norm(root) * np.linalg.norm(c))
-        units.append(UnitEigenvalue(float(eigs[i]), float(overlap)))
-        if overlap > overlap_tol:
-            n_res += 1
-        else:
-            n_zero += 1
-        if 0.1 * overlap_tol < overlap <= 10.0 * overlap_tol:
-            ambiguous = True
-    if n_res and n_zero:
-        classification = "resonance_plus_zero_eigenvalue"
-    elif n_res:
-        classification = "resonance"
-    elif n_zero:
-        classification = "zero_eigenvalue"
-    else:
-        classification = "none"
-    return ThresholdReport(
-        float(eigs[-1]), tuple(units), classification, n_zero, ambiguous
-    )
+    return _threshold_report(eigs, vecs, root, unit_tol, overlap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +378,8 @@ def verify_existence(
     pot: Potential,
     k_list: Sequence[Quasimomentum],
     grid: MomentumGrid,
-    unit_tol: float = 1e-6,
-    overlap_tol: float = 1e-6,
-    edge_margin: float = 0.0,
+    unit_tol: float = UNIT_TOL,
+    overlap_tol: float = OVERLAP_TOL,
     pos_tol: Optional[float] = None,
     tie_tol: Optional[float] = None,
 ) -> ExistenceReport:
@@ -400,8 +413,7 @@ def verify_existence(
         eigs = fiber_eigenvalues(m, k, v)
         tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
         ptol = 1e-8 * max(1.0, float(np.abs(eigs).max())) if pos_tol is None else pos_tol
-        level = geo.e_min - edge_margin
-        below = tuple(float(x) for x in eigs[eigs < level - tol])
+        below = tuple(float(x) for x in eigs[eigs < geo.e_min - tol])
         per_k.append(
             EmergenceAtK(
                 k=k.components,
@@ -457,12 +469,29 @@ def flat_band_level(m: MassPair, k: Quasimomentum) -> Optional[float]:
     return None
 
 
+def count_below_band(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid,
+    tie_tol: Optional[float] = None,
+) -> int:
+    """``count_below(e_min, spec H(k), tie_tol)`` without the dense H: the
+    r x r inertia count ``fiber_count_below`` at e_min - tie_tol, or on the
+    flat band (``flat_band_level``) the count of its exact spectrum.  The
+    default tie band is ``default_tie_tol`` of ``weyl_bracket``, whose
+    scale bounds every |eigenvalue| of H(k)."""
+    e_min = band_geometry(m, k).e_min
+    tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
+    level = flat_band_level(m, k)
+    if level is None:
+        return fiber_count_below(m, k, pot, e_min - tol, grid)
+    vspec, mult = potential_spectrum(pot, grid)
+    return count_below(e_min, level - vspec, tol, mult)
+
+
 def verify_neraven(
     m: MassPair,
     k: Quasimomentum,
     pot: Potential,
     grid: MomentumGrid,
-    edge_margin: float = 0.0,
     tie_tol: Optional[float] = None,
 ) -> NeravenReport:
     """Band-width counting estimate plus its scalar-case exact equalities.
@@ -471,27 +500,21 @@ def verify_neraven(
     spectrum, the two-sided corollary with |V|, and, for equal masses at
     k = (pi, pi, pi), the exact integer equalities against the 6/m level.
     No dense H(k) and no N^3 array is built: the potential spectrum is its
-    r support values and the multiplicity N^3 - r of 0.  The counts
-    outside the band are the r x r inertia counts
-    ``fiber_count_below``/``fiber_count_above`` at
-    e_min - margin - tie_tol and e_max + margin + tie_tol, which is what
-    ``count_below``/``count_above`` with that tie band give on the dense
-    spectrum.  On the flat band (equal masses at k = (pi, pi, pi)) H0(k)
-    is 6/m times the identity and the spectrum of H(k) is 6/m minus the
-    potential spectrum, exactly, so every count there comes from it.  The
-    default tie band is ``default_tie_tol`` of ``weyl_bracket``, whose
-    scale bounds every |eigenvalue| of H(k).
+    r support values and the multiplicity N^3 - r of 0.  The count below
+    the band is ``count_below_band``, and the count above it the r x r
+    inertia count ``fiber_count_above`` at e_max + tie_tol, or on the flat
+    band (``flat_band_level``) the count of its exact spectrum, with the
+    same default tie band.
     """
     geo = band_geometry(m, k)
     vspec, mult = potential_spectrum(pot, grid)
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
-    lo, hi = geo.e_min - edge_margin, geo.e_max + edge_margin
+    lhs = count_below_band(m, k, pot, grid, tol)
     scalar_case = None
     level = flat_band_level(m, k)
     if level is not None:
         eigs_h = level - vspec
-        lhs = count_below(lo, eigs_h, tol, mult)
-        n_above = count_above(hi, eigs_h, tol, mult)
+        n_above = count_above(geo.e_max, eigs_h, tol, mult)
         nb_h = count_below(level, eigs_h, tol, mult)
         na_v = count_above(0.0, vspec, tol, mult)
         na_h = count_above(level, eigs_h, tol, mult)
@@ -500,8 +523,7 @@ def verify_neraven(
             level, nb_h, na_v, na_h, nb_v, nb_h == na_v and na_h == nb_v
         )
     else:
-        lhs = fiber_count_below(m, k, pot, lo - tol, grid)
-        n_above = fiber_count_above(m, k, pot, hi + tol, grid)
+        n_above = fiber_count_above(m, k, pot, geo.e_max + tol, grid)
     rhs = count_above(geo.w_b, vspec, tol, mult)
     cor_lhs = lhs + n_above
     cor_rhs = count_above(geo.w_b, np.abs(vspec), tol, mult)
@@ -540,7 +562,6 @@ def verify_cheksiz(
     pot: Potential,
     grid: MomentumGrid,
     schedule: ZSchedule = ZSchedule(),
-    direction_tol: float = 1e-12,
 ) -> CheksizReport:
     """Lower bound on below-band eigenvalues from a collapsed band direction.
 
@@ -549,7 +570,7 @@ def verify_cheksiz(
     axis; the Birman-Schwinger counts along the z-schedule must reach the
     target and be non-decreasing.
     """
-    degen = degenerate_directions(m, k, direction_tol)
+    degen = degenerate_directions(m, k)
     if not degen:
         raise PreconditionError("no degenerate direction at this (m, k)")
     j = min(degen)
@@ -595,7 +616,6 @@ def continuity_exponent(
     k: Quasimomentum,
     pot: Potential,
     grid: MomentumGrid,
-    schedule: ZSchedule = ZSchedule(),
 ) -> ContinuityReport:
     """Fit ||G(k, e_min) - G(k, z)|| ~ (e_min - z)^alpha along a z-schedule.
 
@@ -611,6 +631,7 @@ def continuity_exponent(
         raise PreconditionError(
             "grid samples must sit strictly above the analytic band bottom"
         )
+    schedule = ZSchedule()
     deltas = schedule.deltas()
     norms = [
         bs_difference_norm(m, k, pot, geo.e_min, z, grid)

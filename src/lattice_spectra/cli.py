@@ -30,13 +30,7 @@ from .model import (
     Quasimomentum,
     load_potential,
 )
-from .operators import (
-    FiberPotential,
-    fiber_count_below,
-    fiber_potential,
-    potential_spectrum,
-    weyl_bracket,
-)
+from .operators import FiberPotential, fiber_potential
 from .parallel import parallel_map
 from .spectral import (
     count_above,
@@ -152,8 +146,8 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         k_list=k_list,
         schedule=schedule,
         tie_tol=args.tie_tol,
-        unit_tol=args.unit_tol if args.unit_tol is not None else 1e-6,
-        overlap_tol=args.overlap_tol if args.overlap_tol is not None else 1e-6,
+        unit_tol=args.unit_tol,
+        overlap_tol=args.overlap_tol,
         pos_tol=args.pos_tol,
         seed=args.seed,
         trials=args.trials,
@@ -286,18 +280,7 @@ def _suite_threshold(cfg: RunConfig) -> dict:
     ok = True
     for k in _require_k(cfg):
         tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
-        geo = band_geometry(cfg.masses, k)
-        tol = cfg.tie_tol
-        if tol is None:
-            tol = default_tie_tol(weyl_bracket(cfg.masses, k, cfg.potential))
-        level = analysis.flat_band_level(cfg.masses, k)
-        if level is None:
-            # count_below(e_min, spec H, tol) without the dense H
-            direct = fiber_count_below(
-                cfg.masses, k, cfg.potential, geo.e_min - tol, cfg.grid)
-        else:
-            vspec, mult = potential_spectrum(cfg.potential, cfg.grid)
-            direct = count_below(geo.e_min, level - vspec, tol, mult)
+        direct = analysis.count_below_band(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
         match = (not tc.divergent) and tc.stabilized == direct
         records.append(
             {"k": list(k.components), "counts": list(tc.counts),
@@ -407,6 +390,45 @@ def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
 # Entry point
 
 
+# Every flag a subcommand may take, by argparse dest; the flag is "--" + dest
+# with "-" for "_".
+FLAGS = {
+    "masses": dict(default="1,1", help="m1,m2 (default 1,1)"),
+    "potential": dict(help="potential JSON file"),
+    "grid": dict(type=int, default=8, help="nodes per dimension"),
+    "offset": dict(type=float, default=0.5, help="grid offset in [0,1)"),
+    "k": dict(action="append", help="quasi-momentum a,b,c (repeatable)"),
+    "k_path": dict(help="path spec a,b,c:d,e,f:COUNT"),
+    "z_delta0": dict(type=float, default=analysis.ZSchedule.delta0),
+    "z_ratio": dict(type=float, default=analysis.ZSchedule.ratio),
+    "z_steps": dict(type=int, default=analysis.ZSchedule.steps),
+    "seed": dict(type=int, default=0),
+    "trials": dict(type=int),
+    "refine": dict(action="store_true", default=False),
+    "tie_tol": dict(type=float),
+    "unit_tol": dict(type=float, default=analysis.UNIT_TOL),
+    "overlap_tol": dict(type=float, default=analysis.OVERLAP_TOL),
+    "pos_tol": dict(type=float),
+    "out": dict(help="write report to file instead of stdout"),
+    "suite": dict(required=True, help=f"comma-separated subset of: {','.join(SUITES)}, or 'all'"),
+    "quantity": dict(required=True, choices=("band_edges", "below_band_eigs", "bs_counts")),
+}
+
+# The flags each subcommand reads; argparse rejects every other one (exit 2).
+# A verify suite or a plotdata quantity may still ignore some of them.
+_MODEL_FLAGS = ("masses", "potential", "grid", "offset")
+COMMANDS = {
+    "band": ("band geometry per k", ("masses", "k", "k_path", "out")),
+    "spectrum": ("eigenvalues and band counts per k",
+                 (*_MODEL_FLAGS, "k", "k_path", "tie_tol", "out")),
+    "critical": ("critical coupling of the base potential", (*_MODEL_FLAGS, "refine", "out")),
+    "verify": ("run theorem verification suites",
+               tuple(f for f in FLAGS if f not in ("refine", "quantity"))),
+    "plotdata": ("CSV data for external plotting", (*_MODEL_FLAGS, "k", "k_path", "z_delta0",
+                 "z_ratio", "z_steps", "tie_tol", "out", "quantity")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-spectra",
@@ -414,41 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "lattice Schroedinger operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--masses", default="1,1", help="m1,m2 (default 1,1)")
-        p.add_argument("--potential", help="potential JSON file")
-        p.add_argument("--grid", type=int, default=8, help="nodes per dimension")
-        p.add_argument("--offset", type=float, default=0.5, help="grid offset in [0,1)")
-        p.add_argument("--k", action="append", help="quasi-momentum a,b,c (repeatable)")
-        p.add_argument("--k-path", help="path spec a,b,c:d,e,f:COUNT")
-        p.add_argument("--z-delta0", type=float, default=1.0)
-        p.add_argument("--z-ratio", type=float, default=0.1)
-        p.add_argument("--z-steps", type=int, default=7)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--refine", action="store_true")
-        p.add_argument("--tie-tol", type=float, dest="tie_tol")
-        p.add_argument("--unit-tol", type=float, dest="unit_tol")
-        p.add_argument("--overlap-tol", type=float, dest="overlap_tol")
-        p.add_argument("--pos-tol", type=float, dest="pos_tol")
-        p.add_argument("--out", help="write report to file instead of stdout")
-
-    common(sub.add_parser("band", help="band geometry per k"))
-    common(sub.add_parser("spectrum", help="eigenvalues and band counts per k"))
-    p_verify = sub.add_parser("verify", help="run theorem verification suites")
-    common(p_verify)
-    p_verify.add_argument(
-        "--suite", required=True,
-        help="comma-separated subset of: " + ",".join(SUITES) + ", or 'all'",
-    )
-    common(sub.add_parser("critical", help="critical coupling of the base potential"))
-    p_plot = sub.add_parser("plotdata", help="CSV data for external plotting")
-    common(p_plot)
-    p_plot.add_argument(
-        "--quantity", required=True,
-        choices=("band_edges", "below_band_eigs", "bs_counts"),
-    )
+    for name, (help_text, reads) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in reads:
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
+        # the config reads every flag; those not taken keep their defaults
+        p.set_defaults(**{d: FLAGS[d].get("default") for d in FLAGS if d not in reads})
     return parser
 
 
@@ -456,25 +449,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
         if args.command == "band":
-            return cmd_band(_config_from_args(args, need_potential=False))
+            return cmd_band(cfg)
         if args.command == "spectrum":
-            return cmd_spectrum(_config_from_args(args, need_potential=True))
+            return cmd_spectrum(cfg)
         if args.command == "critical":
-            return cmd_critical(_config_from_args(args, need_potential=True))
-        if args.command == "verify":
-            names = args.suite.split(",") if args.suite != "all" else list(SUITES)
-            for name in names:
-                if name not in SUITES:
-                    raise ConfigError(f"unknown suite {name!r}")
-            if not names:
-                raise ConfigError("empty suite list")
-            return cmd_verify(_config_from_args(args, need_potential=False), names)
+            return cmd_critical(cfg)
         if args.command == "plotdata":
-            return cmd_plotdata(
-                _config_from_args(args, need_potential=False), args.quantity
-            )
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_plotdata(cfg, args.quantity)
+        names = args.suite.split(",") if args.suite != "all" else list(SUITES)
+        for name in names:
+            if name not in SUITES:
+                raise ConfigError(f"unknown suite {name!r}")
+        return cmd_verify(cfg, names)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,8 +46,8 @@ class MassPair:
                 f"mass reciprocals overflow to infinity, got {self.m1}, {self.m2}"
             )
 
-    def equal_masses(self, rel_tol: float = 1e-12) -> bool:
-        return abs(self.m1 - self.m2) <= rel_tol * max(self.m1, self.m2)
+    def equal_masses(self) -> bool:
+        return abs(self.m1 - self.m2) <= 1e-12 * max(self.m1, self.m2)
 
     @property
     def inv_sum(self) -> float:

@@ -375,9 +375,9 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _require_psd(eigs: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def _require_psd(eigs: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Birman-Schwinger operator, checked PSD."""
-    floor = -psd_tol * max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    floor = -PSD_TOL * max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if eigs[0] < floor:
         raise NumericalFailure(
             f"Birman-Schwinger matrix not PSD: min eigenvalue {eigs[0]}"

@@ -12,8 +12,8 @@ import numpy as np
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 
 
-def random_masses(rng: np.random.Generator, lo: float = 0.5, hi: float = 3.0) -> MassPair:
-    return MassPair(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
+def random_masses(rng: np.random.Generator) -> MassPair:
+    return MassPair(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)))
 
 
 def random_quasimomentum(rng: np.random.Generator) -> Quasimomentum:
@@ -25,9 +25,8 @@ def random_potential(
     rng: np.random.Generator,
     radius: int = 1,
     nonnegative: bool = True,
-    scale: float = 2.0,
 ) -> Potential:
-    """Random even potential supported in the sup-norm ball of given radius."""
+    """Random even potential on the sup-norm ball of given radius, v in [0, 2) or [-1, 1)."""
     entries = {}
     span = range(-radius, radius + 1)
     for s1 in span:
@@ -38,24 +37,22 @@ def random_potential(
                     continue  # one representative per +-pair
                 if rng.random() < 0.5:
                     continue
-                v = float(rng.uniform(0.0, scale))
+                v = float(rng.uniform(0.0, 2.0))
                 if not nonnegative:
-                    v -= 0.5 * scale
+                    v -= 1.0
                 entries[s] = v
                 entries[(-s1, -s2, -s3)] = v
     if not entries:
-        entries[(0, 0, 0)] = float(rng.uniform(0.1, scale))
+        entries[(0, 0, 0)] = float(rng.uniform(0.1, 2.0))
     return Potential(entries)
 
 
-def random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) * scale
+def random_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = rng.standard_normal((dim, dim))
     return 0.5 * (a + a.T)
 
 
-def random_low_rank_symmetric(
-    rng: np.random.Generator, dim: int, rank: int, scale: float = 1.0
-) -> np.ndarray:
-    b = rng.standard_normal((dim, rank)) * scale
+def random_low_rank_symmetric(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    b = rng.standard_normal((dim, rank))
     signs = rng.choice([-1.0, 1.0], size=rank)
     return (b * signs[None, :]) @ b.T

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonSymmetricError, NumericalFailure
 from .model import MassPair, Quasimomentum
-from .operators import FiberPotential, GridOperator
+from .operators import FiberPotential, GridOperator, _eigvalsh
 
 MatrixLike = Union[GridOperator, np.ndarray]
 
@@ -23,8 +23,8 @@ def _as_matrix(op: MatrixLike) -> np.ndarray:
     return op.matrix if isinstance(op, GridOperator) else np.asarray(op, dtype=float)
 
 
-def _check_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
-    """Square, finite and symmetric within rel_tol of the largest entry.
+def _check_symmetric(a: np.ndarray) -> None:
+    """Square, finite and symmetric within 1e-10 of the largest entry.
 
     NaN compares false, so finiteness is checked first: max and min
     propagate NaN and infinities.  One n x n temporary at most.
@@ -36,7 +36,7 @@ def _check_symmetric(a: np.ndarray, rel_tol: float = 1e-10) -> None:
         raise NumericalFailure("matrix handed to the eigensolver has non-finite entries")
     asym = a - a.T
     np.abs(asym, out=asym)
-    if float(asym.max(initial=0.0)) > rel_tol * max(1.0, top, -bottom):
+    if float(asym.max(initial=0.0)) > 1e-10 * max(1.0, top, -bottom):
         raise NonSymmetricError("matrix is not symmetric within tolerance")
 
 
@@ -48,10 +48,7 @@ def eig_sym(op: MatrixLike) -> np.ndarray:
     """
     a = _as_matrix(op)
     _check_symmetric(a)
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"symmetric eigensolver failed: {exc}") from exc
+    return _eigvalsh(a)
 
 
 def fiber_eigenvalues(m: MassPair, k: Quasimomentum, fiber: FiberPotential) -> np.ndarray:
@@ -127,14 +124,13 @@ class CountingCheck:
         return self.holds and self.mirrored_holds and self.corollary_holds
 
 
-def verify_counting_theorem(
-    a: MatrixLike, v: MatrixLike, tie_tol: Optional[float] = None
-) -> CountingCheck:
+def verify_counting_theorem(a: MatrixLike, v: MatrixLike) -> CountingCheck:
     """Check the eigenvalue-counting inequality for a perturbed pair (A, A - V).
 
     Also checks the mirrored form at M(A) and the corollary with |V|,
     where |V| is the operator absolute value (eigenvalue signs flipped in
-    V's own eigenbasis), never the entrywise one.
+    V's own eigenbasis), never the entrywise one.  The tie band is
+    ``default_tie_tol`` of the three spectra.
     """
     amat = _as_matrix(a)
     vmat = _as_matrix(v)
@@ -146,11 +142,7 @@ def verify_counting_theorem(
     m_a = float(eigs_a[0])
     big_m_a = float(eigs_a[-1])
     width = big_m_a - m_a
-    tol = (
-        default_tie_tol(np.concatenate([eigs_a, eigs_v, eigs_av]))
-        if tie_tol is None
-        else tie_tol
-    )
+    tol = default_tie_tol(np.concatenate([eigs_a, eigs_v, eigs_av]))
     lhs = count_below(m_a, eigs_av, tol)
     rhs = count_above(width, eigs_v, tol)
     mirrored_lhs = count_above(big_m_a, eigs_av, tol)

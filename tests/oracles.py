@@ -15,7 +15,13 @@ import math
 
 import numpy as np
 
-from lattice_spectra.analysis import ZERO_K, ThresholdReport, UnitEigenvalue
+from lattice_spectra.analysis import (
+    OVERLAP_TOL,
+    UNIT_TOL,
+    ZERO_K,
+    ThresholdReport,
+    _threshold_report,
+)
 from lattice_spectra.dispersion import dispersion_on_grid
 from lattice_spectra.errors import (
     NegativePotentialError,
@@ -24,7 +30,6 @@ from lattice_spectra.errors import (
 )
 from lattice_spectra.model import MassPair, MomentumGrid, Potential, Quasimomentum
 from lattice_spectra.operators import (
-    PSD_TOL,
     FiberPotential,
     GridOperator,
     _eigvalsh,
@@ -106,7 +111,6 @@ def build_bs(
     pot: Potential,
     z: float,
     grid: MomentumGrid,
-    psd_tol: float = PSD_TOL,
 ) -> GridOperator:
     """Birman-Schwinger operator G(k, z) = V^{1/2} (H0(k) - z)^{-1} V^{1/2}.
 
@@ -121,7 +125,7 @@ def build_bs(
         )
     g = (w / (diag - z)[None, :]) @ w
     g = 0.5 * (g + g.T)
-    _require_psd(_eigvalsh(g), psd_tol)
+    _require_psd(_eigvalsh(g))
     return GridOperator(g, grid, "BS")
 
 
@@ -138,14 +142,14 @@ def dense_resonance_analysis(
     m: MassPair,
     pot: Potential,
     grid: MomentumGrid,
-    unit_tol: float = 1e-6,
-    overlap_tol: float = 1e-6,
+    unit_tol: float = UNIT_TOL,
+    overlap_tol: float = OVERLAP_TOL,
 ) -> ThresholdReport:
     """Threshold classification of H(0) from the dense N^3 x N^3 G(0, 0).
 
-    Collects the eigenvalues of G within unit_tol of 1 and sorts them into
-    resonance (eigenvector overlapping the grid vector of the half-potential
-    kernel, sum_s sqrt(v(s)) cos(q.s)) versus genuine zero eigenvectors.
+    The eigenpairs of G and the grid vector of the half-potential kernel,
+    sum_s sqrt(v(s)) cos(q.s), go through the library's classification
+    rule (``_threshold_report``) in place of the r x r Gram's.
     """
     if not pot.is_nonnegative():
         raise PreconditionError("threshold classification requires v-hat >= 0")
@@ -159,41 +163,8 @@ def dense_resonance_analysis(
         )
     g = build_bs(m, ZERO_K, pot, 0.0, grid)
     eigs, vecs = np.linalg.eigh(g.matrix)
-    # grid vector of the half-potential kernel function (normalization
-    # constants cancel in the overlap ratio)
     q = grid.nodes()
     u = np.zeros(grid.dim)
     for s, v in pot.entries.items():
         u += math.sqrt(v) * np.cos(q @ np.array(s, dtype=float))
-    u_norm = float(np.linalg.norm(u))
-    units = []
-    ambiguous = False
-    n_zero = 0
-    n_res = 0
-    for i in range(len(eigs)):
-        if abs(eigs[i] - 1.0) > unit_tol:
-            continue
-        psi = vecs[:, i]
-        overlap = (
-            abs(float(u @ psi)) / (u_norm * float(np.linalg.norm(psi)))
-            if u_norm > 0.0
-            else 0.0
-        )
-        units.append(UnitEigenvalue(float(eigs[i]), overlap))
-        if overlap > overlap_tol:
-            n_res += 1
-        else:
-            n_zero += 1
-        if 0.1 * overlap_tol < overlap <= 10.0 * overlap_tol:
-            ambiguous = True
-    if n_res and n_zero:
-        classification = "resonance_plus_zero_eigenvalue"
-    elif n_res:
-        classification = "resonance"
-    elif n_zero:
-        classification = "zero_eigenvalue"
-    else:
-        classification = "none"
-    return ThresholdReport(
-        float(eigs[-1]), tuple(units), classification, n_zero, ambiguous
-    )
+    return _threshold_report(eigs, vecs, u, unit_tol, overlap_tol)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 
 import lattice_spectra
 from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, operators
-from lattice_spectra.cli import _jsonable, main
+from lattice_spectra.cli import _build_parser, _jsonable, main
 from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
 
@@ -350,19 +351,80 @@ class TestArgumentValidation:
         code, _, _ = run(capsys, "band", "--k-path", "0,0,0:1,1,1")
         assert code == 2
 
-    def test_bad_grid(self, capsys):
-        code, _, _ = run(capsys, "band", "--grid", "1", "--k", "0,0,0")
+    def test_bad_grid(self, capsys, point_pot_file):
+        code, _, err = run(capsys, "spectrum", "--grid", "1", "--potential", point_pot_file,
+                           "--k", "0,0,0")
         assert code == 2
+        assert "N >= 2" in err
 
-    def test_bad_schedule(self, capsys):
-        code, _, _ = run(capsys, "band", "--k", "0,0,0", "--z-ratio", "1.5")
+    def test_bad_schedule(self, capsys, point_pot_file):
+        code, _, err = run(capsys, "verify", "--suite", "threshold", "--k", "0,0,0",
+                           "--potential", point_pot_file, "--z-ratio", "1.5")
         assert code == 2
+        assert "ratio" in err
 
     def test_malformed_potential(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         code, _, _ = run(capsys, "spectrum", "--potential", str(bad), "--k", "0,0,0")
         assert code == 2
+
+
+# The options each subcommand takes; every other flag is an argparse error.
+TAKES = {
+    "band": {"--masses", "--k", "--k-path", "--out"},
+    "spectrum": {"--masses", "--potential", "--grid", "--offset", "--k", "--k-path",
+                 "--tie-tol", "--out"},
+    "critical": {"--masses", "--potential", "--grid", "--offset", "--refine", "--out"},
+    "verify": {"--masses", "--potential", "--grid", "--offset", "--k", "--k-path",
+               "--z-delta0", "--z-ratio", "--z-steps", "--seed", "--trials", "--tie-tol",
+               "--unit-tol", "--overlap-tol", "--pos-tol", "--out", "--suite"},
+    "plotdata": {"--masses", "--potential", "--grid", "--offset", "--k", "--k-path",
+                 "--z-delta0", "--z-ratio", "--z-steps", "--tie-tol", "--out", "--quantity"},
+}
+# a valid value for every shared flag (None: takes no value); "POT" is the potential file
+FLAG_VALUES = {
+    "--masses": "1,1", "--potential": "POT", "--grid": "4", "--offset": "0.5",
+    "--k": "0,0,0", "--k-path": "0,0,0:1,1,1:2", "--z-delta0": "1", "--z-ratio": "0.1",
+    "--z-steps": "3", "--seed": "1", "--trials": "2", "--refine": None,
+    "--tie-tol": "1e-9", "--unit-tol": "1e-6", "--overlap-tol": "1e-6",
+    "--pos-tol": "1e-8", "--out": "report.json",
+}
+# a run of each subcommand that exits 0 with its own flags alone
+VALID_RUNS = {
+    "band": ("--k", "0,0,0"),
+    "spectrum": ("--potential", "POT", "--grid", "4", "--k", "0,0,0"),
+    "critical": ("--potential", "POT", "--grid", "4"),
+    "verify": ("--suite", "counting", "--trials", "1"),
+    "plotdata": ("--quantity", "band_edges", "--k", "0,0,0"),
+}
+UNREAD = [(cmd, flag) for cmd, takes in TAKES.items() for flag in FLAG_VALUES
+          if flag not in takes]
+
+
+class TestPerCommandFlags:
+    def test_option_table(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == TAKES
+        assert sum(len(v) for v in got.values()) == 47
+        assert len(UNREAD) == 40
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_usage_error(self, capsys, point_pot_file, command, flag):
+        value = FLAG_VALUES[flag]
+        argv = [command, *VALID_RUNS[command], flag, *([] if value is None else [value])]
+        argv = [point_pot_file if a == "POT" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: " + flag in captured.err
 
 
 class TestExistencePrecondition:
