@@ -3,15 +3,14 @@ classification, critical coupling, positivity transfer, emergence and the
 degenerate-direction lower bound.
 
 Every function here is a pure job over immutable inputs and returns a
-small report dataclass; nothing asserts, callers decide what a failure
+small report NamedTuple; nothing asserts, callers decide what a failure
 means (the CLI turns report flags into exit codes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,23 +42,27 @@ from .spectral import (
 ZERO_K = Quasimomentum(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ZSchedule:
+class _ZSchedule(NamedTuple):
+    delta0: float
+    ratio: float
+    steps: int
+
+
+class ZSchedule(_ZSchedule):
     """Geometric approach z_i = e_min - delta0 * ratio^i from below."""
 
-    delta0: float = 1.0
-    ratio: float = 0.1
-    steps: int = 7
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, delta0: float = 1.0, ratio: float = 0.1, steps: int = 7) -> "ZSchedule":
         # NaN fails every comparison, so each check is written to pass
         # only a finite value in range
-        if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
-            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.steps < 2:
+        if not (math.isfinite(delta0) and delta0 > 0.0):
+            raise ValueError(f"delta0 must be finite and > 0, got {delta0}")
+        if not (0.0 < ratio < 1.0):
+            raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+        if steps < 2:
             raise ValueError("need at least 2 steps")
+        return super().__new__(cls, delta0, ratio, steps)
 
     def points(self, e_min: float) -> list[float]:
         return [e_min - self.delta0 * self.ratio**i for i in range(self.steps)]
@@ -72,8 +75,7 @@ class ZSchedule:
 # Birman-Schwinger counting
 
 
-@dataclass(frozen=True)
-class BSCheck:
+class BSCheck(NamedTuple):
     z: float
     n_minus: int
     n_plus: int
@@ -108,8 +110,7 @@ def bs_check(
     return BSCheck(z, n_minus, n_plus)
 
 
-@dataclass(frozen=True)
-class ThresholdCount:
+class ThresholdCount(NamedTuple):
     zs: tuple[float, ...]
     counts: tuple[int, ...]
     stabilized: Optional[int]  # None means divergent
@@ -125,12 +126,14 @@ def threshold_count(
     pot: Potential,
     grid: MomentumGrid,
     schedule: ZSchedule = ZSchedule(),
+    tie_tol: Optional[float] = None,
 ) -> ThresholdCount:
     """Track n_+(1, G(k, z_i)) along a z-schedule approaching the band bottom.
 
-    The counts stabilize when the threshold operator is regular; in the
-    degenerate-direction regime they keep growing (divergence is reported,
-    not decided).
+    Each count takes the tie band tie_tol, by default ``default_tie_tol`` of
+    that Gram spectrum.  The counts stabilize when the threshold operator
+    is regular; in the degenerate-direction regime they keep growing
+    (divergence is reported, not decided).
     """
     e_min = band_geometry(m, k).e_min
     zs = schedule.points(e_min)
@@ -140,7 +143,8 @@ def threshold_count(
             counts.append(0)
             continue
         eigs = bs_support_eigenvalues(m, k, pot, z, grid)
-        counts.append(count_above(1.0, eigs, default_tie_tol(eigs)))
+        tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
+        counts.append(count_above(1.0, eigs, tol))
     stabilized = counts[-1] if len(set(counts[-3:])) == 1 else None
     return ThresholdCount(tuple(zs), tuple(counts), stabilized)
 
@@ -154,14 +158,12 @@ UNIT_TOL = 1e-6
 OVERLAP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class UnitEigenvalue:
+class UnitEigenvalue(NamedTuple):
     value: float
     overlap: float  # |(v^{1/2}, psi)| / (|v^{1/2}| |psi|)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     lambda_max: float
     unit_eigenvalues: tuple[UnitEigenvalue, ...]
     classification: str  # none | resonance | zero_eigenvalue | resonance_plus_zero_eigenvalue
@@ -259,8 +261,7 @@ def resonance_analysis(
 # Critical coupling
 
 
-@dataclass(frozen=True)
-class CriticalCoupling:
+class CriticalCoupling(NamedTuple):
     lambda_star: float
     richardson: Optional[float]
     grid_sizes: tuple[int, ...]
@@ -306,15 +307,13 @@ def critical_coupling(
 # Positivity transfer
 
 
-@dataclass(frozen=True)
-class PositivityAtK:
+class PositivityAtK(NamedTuple):
     k: tuple[float, float, float]
     min_eigenvalue: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     pos_tol: float
     min_eig_h0: float
     per_k: tuple[PositivityAtK, ...]
@@ -352,8 +351,7 @@ def positivity_check(
 # Eigenvalue emergence below the band
 
 
-@dataclass(frozen=True)
-class EmergenceAtK:
+class EmergenceAtK(NamedTuple):
     k: tuple[float, float, float]
     e_min: float
     count: int
@@ -362,8 +360,7 @@ class EmergenceAtK:
     nonneg_ok: bool
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     threshold: ThresholdReport
     required: int
     per_k: tuple[EmergenceAtK, ...]
@@ -431,8 +428,7 @@ def verify_existence(
 # Band-width estimate
 
 
-@dataclass(frozen=True)
-class ScalarCaseCheck:
+class ScalarCaseCheck(NamedTuple):
     level: float
     n_below_h: int
     n_above_v_zero: int
@@ -441,8 +437,7 @@ class ScalarCaseCheck:
     equalities_hold: bool
 
 
-@dataclass(frozen=True)
-class NeravenReport:
+class NeravenReport(NamedTuple):
     w_b: float
     lhs: int
     rhs: int
@@ -536,8 +531,7 @@ def verify_neraven(
 # Degenerate-direction lower bound
 
 
-@dataclass(frozen=True)
-class CheksizReport:
+class CheksizReport(NamedTuple):
     axis: int  # 0-based degenerate direction used
     target: int
     zs: tuple[float, ...]
@@ -604,8 +598,7 @@ def verify_cheksiz(
 # Threshold-operator continuity
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     deltas: tuple[float, ...]
     norms: tuple[float, ...]
     exponent: float

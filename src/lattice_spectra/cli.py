@@ -9,14 +9,12 @@ failure, 2 config/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
+import gc
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +82,7 @@ def _parse_k_path(text: str) -> list[Quasimomentum]:
     return [_quasimomentum(start + t * (end - start)) for t in ts]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     masses: MassPair
     potential: Optional[Potential]
     grid: MomentumGrid
@@ -167,8 +164,9 @@ def _require_k(cfg: RunConfig) -> list[Quasimomentum]:
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    # a report record is a NamedTuple: a dict of its fields, not a list
+    if hasattr(obj, "_asdict"):
+        return {name: _jsonable(value) for name, value in obj._asdict().items()}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -204,7 +202,7 @@ def _emit_json(doc, out: Optional[str]) -> None:
 
 def cmd_band(cfg: RunConfig) -> int:
     records = [
-        {"k": list(k.components), **dataclasses.asdict(band_geometry(cfg.masses, k))}
+        {"k": list(k.components), **band_geometry(cfg.masses, k)._asdict()}
         for k in _require_k(cfg)
     ]
     _emit_json({"band": records}, cfg.out)
@@ -235,7 +233,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_critical(cfg: RunConfig) -> int:
     result = analysis.critical_coupling(cfg.masses, cfg.potential, cfg.grid, cfg.refine)
-    _emit_json(dataclasses.asdict(result), cfg.out)
+    _emit_json(result._asdict(), cfg.out)
     return 0
 
 
@@ -250,7 +248,7 @@ def _suite_counting(cfg: RunConfig) -> dict:
         v = sampling.random_low_rank_symmetric(rng, dim, rank)
         check = verify_counting_theorem(a, v)
         if not check.all_hold:
-            failures.append({"trial": t, "check": dataclasses.asdict(check)})
+            failures.append({"trial": t, "check": check._asdict()})
     return {"trials": trials, "failures": failures, "pass": not failures}
 
 
@@ -279,7 +277,8 @@ def _suite_threshold(cfg: RunConfig) -> dict:
     records = []
     ok = True
     for k in _require_k(cfg):
-        tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
+        tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
+                                      cfg.tie_tol)
         direct = analysis.count_below_band(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
         match = (not tc.divergent) and tc.stabilized == direct
         records.append(
@@ -351,6 +350,8 @@ def cmd_verify(cfg: RunConfig, suites: Sequence[str]) -> int:
 
 
 def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
+    import csv  # only plotdata writes CSV
+
     ks = _require_k(cfg)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -377,7 +378,8 @@ def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
             raise ConfigError("bs_counts requires --potential")
         writer.writerow(["k1", "k2", "k3", "z", "n_plus"])
         for k in ks:
-            tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
+            tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
+                                          cfg.tie_tol)
             for z, c in zip(tc.zs, tc.counts):
                 writer.writerow([*k.components, z, c])
     else:
@@ -390,6 +392,8 @@ def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
 # Entry point
 
 
+_SCHEDULE = analysis.ZSchedule()  # the default z-schedule
+
 # Every flag a subcommand may take, by argparse dest; the flag is "--" + dest
 # with "-" for "_".
 FLAGS = {
@@ -399,9 +403,9 @@ FLAGS = {
     "offset": dict(type=float, default=0.5, help="grid offset in [0,1)"),
     "k": dict(action="append", help="quasi-momentum a,b,c (repeatable)"),
     "k_path": dict(help="path spec a,b,c:d,e,f:COUNT"),
-    "z_delta0": dict(type=float, default=analysis.ZSchedule.delta0),
-    "z_ratio": dict(type=float, default=analysis.ZSchedule.ratio),
-    "z_steps": dict(type=int, default=analysis.ZSchedule.steps),
+    "z_delta0": dict(type=float, default=_SCHEDULE.delta0),
+    "z_ratio": dict(type=float, default=_SCHEDULE.ratio),
+    "z_steps": dict(type=int, default=_SCHEDULE.steps),
     "seed": dict(type=int, default=0),
     "trials": dict(type=int),
     "refine": dict(action="store_true", default=False),
@@ -471,5 +475,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """``main`` for a process that ends with it: the console script and
+    ``python -m lattice_spectra.cli``.
+
+    Afterwards ``gc.freeze()`` moves every object to the permanent
+    generation, so the collections the interpreter runs at exit have
+    nothing to walk (README, "Start-up and exit").  It runs on every way
+    out, ``--help`` and usage errors included.  ``main`` itself leaves the
+    collector alone, since it is also called in-process.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

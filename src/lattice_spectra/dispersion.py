@@ -7,7 +7,7 @@ so band edges and widths come in closed form; no grid scans anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def dispersion_on_grid(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> np.
     )
 
 
-@dataclass(frozen=True)
-class BandGeometry:
+class BandGeometry(NamedTuple):
     """Per-axis cosine representation of the dispersion and its band."""
 
     center: float

@@ -1,17 +1,18 @@
 """Domain types: masses, torus momenta, finitely supported potentials, grids.
 
 All types are immutable after construction and safe to share between
-threads.  Momentum components live on the torus (-pi, pi]; grid nodes live
-in [-pi, pi) with an optional sub-step offset.
+threads.  Each is a NamedTuple whose ``__new__`` validates its arguments,
+on a plain NamedTuple base that holds the fields.  Momentum components
+live on the torus (-pi, pi]; grid nodes live in [-pi, pi) with an optional
+sub-step offset.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -29,22 +30,22 @@ def _wrap(x: float) -> float:
     return w if w > -math.pi else math.pi
 
 
-@dataclass(frozen=True)
-class MassPair:
-    """Masses of the two particles; both strictly positive, with finite reciprocals."""
-
+class _MassPair(NamedTuple):
     m1: float
     m2: float
 
-    def __post_init__(self) -> None:
-        if not all(0.0 < m < math.inf for m in (self.m1, self.m2)):
-            raise ValueError(
-                f"masses must be positive and finite, got {self.m1}, {self.m2}"
-            )
-        if not all(math.isfinite(1.0 / m) for m in (self.m1, self.m2)):
-            raise ValueError(
-                f"mass reciprocals overflow to infinity, got {self.m1}, {self.m2}"
-            )
+
+class MassPair(_MassPair):
+    """Masses of the two particles; both strictly positive, with finite reciprocals."""
+
+    __slots__ = ()
+
+    def __new__(cls, m1: float, m2: float) -> "MassPair":
+        if not all(0.0 < m < math.inf for m in (m1, m2)):
+            raise ValueError(f"masses must be positive and finite, got {m1}, {m2}")
+        if not all(math.isfinite(1.0 / m) for m in (m1, m2)):
+            raise ValueError(f"mass reciprocals overflow to infinity, got {m1}, {m2}")
+        return super().__new__(cls, m1, m2)
 
     def equal_masses(self) -> bool:
         return abs(self.m1 - self.m2) <= 1e-12 * max(self.m1, self.m2)
@@ -58,20 +59,25 @@ class MassPair:
         return 1.0 / self.m1 - 1.0 / self.m2
 
 
-@dataclass(frozen=True)
-class TorusVector:
-    """A point of the three-torus; components normalized into (-pi, pi]."""
-
+class _TorusVector(NamedTuple):
     c1: float
     c2: float
     c3: float
 
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3"):
-            c = float(getattr(self, name))
+
+class TorusVector(_TorusVector):
+    """A point of the three-torus; components normalized into (-pi, pi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, c1: float, c2: float, c3: float) -> "TorusVector":
+        wrapped = []
+        for name, c in zip(cls._fields, (c1, c2, c3)):
+            c = float(c)
             if not math.isfinite(c):
                 raise ValueError(f"torus component {name} must be finite, got {c}")
-            object.__setattr__(self, name, _wrap(c))
+            wrapped.append(_wrap(c))
+        return super().__new__(cls, *wrapped)
 
     @property
     def components(self) -> tuple[float, float, float]:
@@ -91,9 +97,13 @@ class TorusVector:
 class Quasimomentum(TorusVector):
     """Total quasi-momentum k of the two-particle fiber Hamiltonian."""
 
+    __slots__ = ()
+
 
 class RelativeMomentum(TorusVector):
     """Relative momentum q (evaluation/integration variable)."""
+
+    __slots__ = ()
 
 
 def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
@@ -118,20 +128,21 @@ def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
     return out
 
 
-@dataclass(frozen=True)
-class Potential:
+class _Potential(NamedTuple):
+    entries: Mapping[Site, float]
+
+
+class Potential(_Potential):
     """Finitely supported even real function v-hat on the lattice Z^3.
 
     ``entries`` is a read-only mapping, so evenness and ``support_radius``
     hold for the object's lifetime.
     """
 
-    entries: Mapping[Site, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", MappingProxyType(_canonical_entries(self.entries))
-        )
+    def __new__(cls, entries: Mapping[Site, float]) -> "Potential":
+        return super().__new__(cls, MappingProxyType(_canonical_entries(entries)))
 
     @property
     def support_radius(self) -> int:
@@ -228,8 +239,12 @@ def momentum_kernel(pot: Potential, q: TorusVector) -> float:
     return (TWO_PI) ** -1.5 * total
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
+class _MomentumGrid(NamedTuple):
+    n_per_dim: int
+    offset: float
+
+
+class MomentumGrid(_MomentumGrid):
     """Uniform N^3 grid on the torus with a fractional sub-step offset.
 
     Node components are -pi + (n + offset) * (2*pi/N), n = 0..N-1.  The
@@ -238,14 +253,14 @@ class MomentumGrid:
     nodes; for odd N the middle node sits at 0.
     """
 
-    n_per_dim: int
-    offset: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_per_dim < 2:
-            raise ValueError(f"need N >= 2, got {self.n_per_dim}")
-        if not (0.0 <= self.offset < 1.0):
-            raise ValueError(f"offset must be in [0, 1), got {self.offset}")
+    def __new__(cls, n_per_dim: int, offset: float = 0.5) -> "MomentumGrid":
+        if n_per_dim < 2:
+            raise ValueError(f"need N >= 2, got {n_per_dim}")
+        if not (0.0 <= offset < 1.0):
+            raise ValueError(f"offset must be in [0, 1), got {offset}")
+        return super().__new__(cls, n_per_dim, offset)
 
     @property
     def dim(self) -> int:

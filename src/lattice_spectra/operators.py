@@ -15,7 +15,11 @@ ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
 K of E, sampled on the grid from the three axis factors of E, into the
 r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost and O(N^2)
 memory: it forms E and K one slab of axis-1 planes at a time
-(GRAM_SLAB_NODES), and no N^3 array is built.  Its users:
+(GRAM_SLAB_NODES), and no N^3 array is built.  An axis whose factor is
+even under the grid reflection (every axis at k = 0 or for equal masses,
+on a grid closed under parity) is folded onto one node of each mirror
+pair, with the pair's phases summed to a cosine (``_fold_axis``), so K is
+evaluated on about N^3 / 8 nodes there.  Its users:
 
 * with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
@@ -76,8 +80,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -92,8 +95,7 @@ from .errors import (
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 
 
-@dataclass(frozen=True)
-class GridOperator:
+class GridOperator(NamedTuple):
     """Dense real symmetric matrix on the momentum grid, tagged by kind."""
 
     matrix: np.ndarray
@@ -163,19 +165,27 @@ def potential_spectrum(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, 
 PARITY_TOL = 64.0 * float(np.finfo(float).eps)
 
 
-def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
-    """Index of the node -q for every node q, or None when the grid is not
-    closed under q -> -q.  Per axis node i maps to (N - i - 2 offset) mod N."""
+def _axis_mirror(grid: MomentumGrid) -> Optional[np.ndarray]:
+    """Index of the axis node -q_j for every axis node q_j, or None when the
+    grid is not closed under q -> -q: node i maps to (N - i - 2 offset) mod N."""
     if grid.offset not in (0.0, 0.5):
         return None
     n = grid.n_per_dim
-    axis = (n - np.arange(n) - int(2 * grid.offset)) % n
+    return (n - np.arange(n) - int(2 * grid.offset)) % n
+
+
+def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
+    """Index of the node -q for every node q, or None when the grid is not
+    closed under q -> -q (``_axis_mirror`` on each axis)."""
+    axis = _axis_mirror(grid)
+    if axis is None:
+        return None
+    n = grid.n_per_dim
     return (
         axis[:, None, None] * n * n + axis[None, :, None] * n + axis[None, None, :]
     ).ravel()
 
 
-@dataclass(frozen=True, eq=False)
 class FiberPotential:
     """V of H(k) = H0(k) - V for one (potential, grid), as its rank-r factor.
 
@@ -195,19 +205,30 @@ class FiberPotential:
     block of V is built from ``even_factor``, the rows of C at
     ``even_nodes`` (times sqrt(2) at the pairs), and the odd block from
     ``odd_factor``, the rows of S at ``odd_nodes`` times sqrt(2).
-    Otherwise ``mirror`` and the parity fields are None.
+    Otherwise ``mirror`` and the parity fields are None.  Two instances
+    compare equal only when they are the same object.
     """
 
-    potential: Potential
-    grid: MomentumGrid
-    factor: np.ndarray
-    weights: np.ndarray
-    n_cos: int
-    mirror: Optional[np.ndarray] = None
-    even_nodes: Optional[np.ndarray] = None
-    odd_nodes: Optional[np.ndarray] = None
-    even_factor: Optional[np.ndarray] = None
-    odd_factor: Optional[np.ndarray] = None
+    __slots__ = ("potential", "grid", "factor", "weights", "n_cos",
+                 "mirror", "even_nodes", "odd_nodes", "even_factor", "odd_factor")
+
+    def __init__(
+        self,
+        potential: Potential,
+        grid: MomentumGrid,
+        factor: np.ndarray,
+        weights: np.ndarray,
+        n_cos: int,
+        mirror: Optional[np.ndarray] = None,
+        even_nodes: Optional[np.ndarray] = None,
+        odd_nodes: Optional[np.ndarray] = None,
+        even_factor: Optional[np.ndarray] = None,
+        odd_factor: Optional[np.ndarray] = None,
+    ) -> None:
+        self.potential, self.grid, self.factor, self.weights, self.n_cos = (
+            potential, grid, factor, weights, n_cos)
+        self.mirror, self.even_nodes, self.odd_nodes = mirror, even_nodes, odd_nodes
+        self.even_factor, self.odd_factor = even_factor, odd_factor
 
     def _parts(
         self, m: MassPair, k: Quasimomentum
@@ -436,6 +457,38 @@ def _resolvent_kernel(z: float) -> Kernel:
     return kernel
 
 
+def _fold_axis(
+    e: np.ndarray, a: np.ndarray, u: np.ndarray, mirror: Optional[np.ndarray], tol: float
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One axis of ``_support_gram``: (e_j, phase angles q_j u, weights).
+
+    When e_j is even under the grid reflection ``mirror`` within tol, the
+    axis is folded: one node of each mirror pair is kept with weight 2 and
+    the pair's mean e_j, and a self-mirrored node with weight 1; the pair's
+    two phases exp(+-i q_j u) sum to 2 cos(q_j u).  Otherwise every node is
+    kept and the weights are None.
+    """
+    if mirror is None or np.abs(e - e[mirror]).max() > tol:
+        return e, np.outer(a, u), None
+    nodes = np.arange(len(e))
+    keep = nodes <= mirror
+    weight = np.where(nodes < mirror, 2.0, 1.0)[keep, None]
+    return 0.5 * (e + e[mirror])[keep], np.outer(a[keep], u), weight
+
+
+def _difference_kernel(z0: float, z: float) -> Kernel:
+    """(z0 - z) / ((E - z0)(E - z)), in place on a slab of E: the kernel of
+    G(k, z0) - G(k, z), written as a product, so nothing cancels."""
+
+    def kernel(e: np.ndarray) -> None:
+        shifted = e - z0
+        e -= z
+        e *= shifted
+        np.divide(z0 - z, e, out=e)
+
+    return kernel
+
+
 def _support_gram(
     factors: AxisFactors, kernel: Kernel, pot: Potential, grid: MomentumGrid
 ) -> np.ndarray:
@@ -447,32 +500,41 @@ def _support_gram(
     computed for every needed difference at once by contracting K against
     the per-axis phase vectors, one axis at a time.  Each axis has at most
     4R + 1 distinct differences (R the support radius), so the cost is
-    O(N^3 |U|) multiply-adds.  The grid is streamed in slabs of axis-1
-    planes of at most GRAM_SLAB_NODES nodes (one plane when a plane is
-    larger), each contracted and added into the Green table before the
-    next is formed, so the memory is O(N^2) reals; no N^3 array is built.
-    The potential is nonempty.
+    O(N^3 |U|) multiply-adds.  An axis whose factor is even under the grid
+    reflection (within PARITY_TOL of the scale of E, as in
+    ``FiberPotential``) is folded onto about half its nodes with cosine
+    phases (``_fold_axis``): at k = 0, or for equal masses at any k, all
+    three are, and K is evaluated on about N^3 / 8 nodes.  The grid is
+    streamed in slabs of axis-1 planes of at most GRAM_SLAB_NODES nodes
+    (one plane when a plane is larger), each contracted and added into the
+    Green table before the next is formed, so the memory is O(N^2) reals;
+    no N^3 array is built.  The potential is nonempty.
     """
-    e1, e2, e3 = factors
-    a = grid.axis_nodes()
     sites = pot.sorted_sites()
     s = np.array(sites)  # (r, 3)
     diff = s[None, :, :] - s[:, None, :]  # (r, r, 3): y - x
     u1, u2, u3 = (np.array(sorted(set(diff[..., j].ravel().tolist()))) for j in range(3))
-    # axis 3 as one real matmul against [cos | sin] of its phases, then the
-    # two small complex contractions over axes 2 and 1
-    n, w = grid.n_per_dim, len(u3)
-    ang = np.outer(a, u3)
-    phase3 = np.hstack([np.cos(ang), np.sin(ang)])
-    p1, p2 = np.exp(1j * np.outer(a, u1)), np.exp(1j * np.outer(a, u2))
+    a, mirror = grid.axis_nodes(), _axis_mirror(grid)
+    tol = PARITY_TOL * max(1.0, _sampled_band(factors)[1])
+    (e1, ang1, w1), (e2, ang2, w2), (e3, ang3, w3) = (
+        _fold_axis(e, a, u, mirror, tol) for e, u in zip(factors, (u1, u2, u3))
+    )
+    p1, p2 = (np.exp(1j * ang) if wt is None else wt * np.cos(ang)
+              for ang, wt in ((ang1, w1), (ang2, w2)))
+    # axis 3 as one real matmul against its phases ([cos | sin] unless
+    # folded), then the two small contractions over axes 2 and 1
+    phase3 = np.hstack([np.cos(ang3), np.sin(ang3)]) if w3 is None else w3 * np.cos(ang3)
+    n2, n3, w = len(e2), len(e3), len(u3)
     e12 = e1[:, None] + e2[None, :]
-    planes = max(1, GRAM_SLAB_NODES // (n * n))
+    planes = max(1, GRAM_SLAB_NODES // (n2 * n3))
     green = np.zeros((len(u1), len(u2), w), dtype=complex)
-    for lo in range(0, n, planes):
+    for lo in range(0, len(e1), planes):
         slab = e12[lo : lo + planes, :, None] + e3[None, None, :]
         kernel(slab)
-        part = slab.reshape(-1, n) @ phase3
-        part = (part[:, :w] + 1j * part[:, w:]).reshape(-1, n, w)
+        part = slab.reshape(-1, n3) @ phase3
+        if w3 is None:
+            part = part[:, :w] + 1j * part[:, w:]
+        part = part.reshape(-1, n2, w)
         green += np.einsum("abw,bv,au->uvw", part, p2, p1[lo : lo + planes], optimize=True)
     green /= grid.dim
     gram = green[
@@ -532,7 +594,7 @@ def bs_difference_norm(
     and the middle factor is the positive diagonal
     (z0 - z) / ((E - z0)(E - z)), so the difference is positive
     semidefinite and its 2-norm is the top eigenvalue of the Gram with that
-    kernel (written as a product, so nothing cancels), checked PSD.
+    kernel (``_difference_kernel``), checked PSD.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
@@ -545,14 +607,7 @@ def bs_difference_norm(
         )
     if pot.is_empty():
         return 0.0
-
-    def kernel(e: np.ndarray) -> None:
-        shifted = e - z0
-        e -= z
-        e *= shifted
-        np.divide(z0 - z, e, out=e)
-
-    gram = _support_gram(factors, kernel, pot, grid)
+    gram = _support_gram(factors, _difference_kernel(z0, z), pot, grid)
     return float(_require_psd(_eigvalsh(gram))[-1])
 
 

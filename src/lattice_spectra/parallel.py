@@ -12,14 +12,17 @@ longer take effect.
 
 Worker count is set by the LATTICE_SPECTRA_THREADS environment variable
 (absent means one worker per core) and never exceeds the core count or
-the number of items.  Results are assembled by input index, so
-parallelism is invisible in any output.
+the number of items.  The workers are plain threads that take the next
+item index from a shared counter, so no executor module is loaded.
+Results are assembled by input index, so parallelism is invisible in any
+output.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 from typing import Callable, Sequence, TypeVar
 
 from .errors import ThreadCountError
@@ -56,13 +59,33 @@ def worker_count() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """[fn(x) for x in items] on ``worker_count`` threads; an item's
+    exception is raised here, the first in input order."""
     items = list(items)
     workers = min(worker_count(), max(1, len(items)))
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    # imported here: it pulls in logging, queue and traceback, which the
-    # commands that start no pool do not need
-    from concurrent.futures import ThreadPoolExecutor
+    outcomes: list = [None] * len(items)
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = (True, fn(items[i]))
+            except BaseException as exc:  # re-raised by the caller
+                outcomes[i] = (False, exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]

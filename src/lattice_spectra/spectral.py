@@ -7,8 +7,7 @@ level from one a rounding error away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,8 +101,7 @@ def count_above(
     return _count(arr > mu + tie_tol, multiplicity)
 
 
-@dataclass(frozen=True)
-class CountingCheck:
+class CountingCheck(NamedTuple):
     """Width-theorem check n_-(m(A), A-V) >= n_+(w_s(A), V) and companions."""
 
     m_a: float

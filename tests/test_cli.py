@@ -475,6 +475,27 @@ class TestThresholdTolerances:
         assert err.startswith("error:") and flag in err and "(0, 1)" in err
 
 
+class TestThresholdTieBand:
+    # point potential 8 on N = 6 at k = 0: the top Gram eigenvalue along the
+    # schedule z = -1, -0.1, -0.01, -0.001 is about 1.36, 1.76, 1.82, 1.83,
+    # so the tie band 0.5 drops only the first count
+    ARGS = ("--grid", "6", "--k", "0,0,0", "--z-steps", "4")
+
+    @pytest.mark.parametrize("flag, counts", [
+        ((), [1, 1, 1, 1]),
+        (("--tie-tol", "0.5"), [0, 1, 1, 1]),
+    ])
+    def test_reaches_the_schedule_counts(self, capsys, point_pot_file, flag, counts):
+        code, out, _ = run(capsys, "verify", "--suite", "threshold", "--potential",
+                           point_pot_file, *self.ARGS, *flag)
+        assert code == 0
+        assert json.loads(out)["threshold"]["records"][0]["counts"] == counts
+        code, out, _ = run(capsys, "plotdata", "--quantity", "bs_counts", "--potential",
+                           point_pot_file, *self.ARGS, *flag)
+        assert code == 0
+        assert [int(row[4]) for row in list(csv.reader(io.StringIO(out)))[1:]] == counts
+
+
 class TestJsonable:
     def test_arrays_become_plain_lists(self):
         doc = _jsonable({"a": np.array([[0.5, -1.0]]), "b": np.arange(3), 2: np.float64(1.5)})

@@ -1,6 +1,5 @@
 """Tests for the finite-torus operator builders."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -454,6 +453,95 @@ class TestStreamedGram:
 
 
 @st.composite
+def fold_instances(draw):
+    """An instance whose axis factors are all or partly even, with a flag
+    per axis: equal masses at a random k (all even), or unequal masses with
+    one to three k_j = 0 (even) and the others at least 0.05 from 0; offset
+    0 or 1/2, odd or even N, a signed potential, and the resolvent kernel
+    below the band or the difference kernel."""
+    radius = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * radius + 1), 9))
+    offset = draw(st.sampled_from([0.0, 0.5]))
+    m1 = draw(st.floats(0.4, 3.0))
+    if draw(st.booleans()):
+        m2 = m1
+        k = draw(st.tuples(*[st.floats(-math.pi, math.pi)] * 3))
+        even = (True, True, True)
+    else:
+        m2 = draw(st.floats(0.4, 3.0).filter(lambda x: abs(x - m1) > 0.05))
+        generic = st.floats(0.05, math.pi).flatmap(lambda x: st.sampled_from([x, -x]))
+        k = draw(st.tuples(*[st.one_of(st.just(0.0), generic)] * 3).filter(lambda k: 0.0 in k))
+        even = tuple(kj == 0.0 for kj in k)
+    span = st.integers(-radius, radius)
+    value = st.floats(0.05, 12.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    entries = draw(st.dictionaries(st.tuples(span, span, span), value, min_size=1, max_size=5))
+    pot = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    m, k, grid = MassPair(m1, m2), Quasimomentum(*k), MomentumGrid(n, offset)
+    factors = operators._axis_factors(m, k, grid)
+    low = operators._sampled_band(factors)[0]
+    z = low - draw(st.floats(0.01, 2.0))
+    if draw(st.booleans()):
+        kernel = operators._resolvent_kernel(z)
+    else:
+        kernel = operators._difference_kernel(low - 0.005, z)
+    return factors, even, pot, grid, kernel
+
+
+def kernel_nodes(factors, pot, grid, kernel):
+    """The Gram of ``_support_gram`` and the number of nodes its kernel saw."""
+    seen = []
+
+    def counted(e):
+        seen.append(e.size)
+        kernel(e)
+
+    return operators._support_gram(factors, counted, pot, grid), sum(seen)
+
+
+def gram_bound(factors, pot, kernel):
+    """max |v| times the mean of |K| over the grid: a bound on every entry
+    of the Gram, and the scale of the rounding of its sums."""
+    e1, e2, e3 = factors
+    e = (e1[:, None, None] + e2[None, :, None]) + e3[None, None, :]
+    kernel(e)
+    return max(abs(v) for v in pot.entries.values()) * float(np.abs(e).mean())
+
+
+class TestFoldedGram:
+    @settings(max_examples=60, deadline=None)
+    @given(fold_instances())
+    def test_matches_unfolded(self, inst):
+        # against the sum over every node, with each even factor replaced
+        # by the pair means that the fold uses, so that the two differ by
+        # the rounding of the sums alone (the means move E by at most half
+        # the PARITY_TOL defect, as on the dense path)
+        factors, even, pot, grid, kernel = inst
+        folded, nodes = kernel_nodes(factors, pot, grid, kernel)
+        mirror = operators._axis_mirror(grid)
+        exact = tuple(0.5 * (e + e[mirror]) if ev else e for e, ev in zip(factors, even))
+        with mock.patch.object(operators, "_axis_mirror", lambda grid: None):
+            unfolded, all_nodes = kernel_nodes(exact, pot, grid, kernel)
+        assert all_nodes == grid.dim and nodes < grid.dim
+        assert np.abs(folded - unfolded).max() <= 1e-13 * gram_bound(exact, pot, kernel)
+
+    @pytest.mark.parametrize("masses, k, n, offset, expected", [
+        ((1.0, 1.0), (0.0, 0.0, 0.0), 64, 0.5, 32**3),
+        ((1.0, 1.0), (0.7, -1.9, 2.8), 8, 0.5, 4**3),
+        ((1.0, 2.5), (0.0, 0.0, 0.0), 7, 0.5, 4**3),
+        ((1.0, 2.5), (0.0, 0.0, 0.0), 8, 0.0, 5**3),
+        ((1.0, 2.5), (0.0, -1.9, 0.0), 8, 0.5, 4 * 8 * 4),
+        ((1.0, 2.5), (0.7, -1.9, 2.8), 8, 0.5, 8**3),
+        ((1.0, 1.0), (0.0, 0.0, 0.0), 8, 0.25, 8**3),
+    ])
+    def test_nodes_the_kernel_sees(self, masses, k, n, offset, expected):
+        pot = Potential({(0, 0, 0): 2.0, (1, 2, 0): 0.5, (0, -1, 2): 0.7})
+        m, k, grid = MassPair(*masses), Quasimomentum(*k), MomentumGrid(n, offset)
+        z = band_geometry(m, k).e_min - 0.5
+        factors = operators._axis_factors(m, k, grid)
+        assert kernel_nodes(factors, pot, grid, operators._resolvent_kernel(z))[1] == expected
+
+
+@st.composite
 def fiber_instances(draw):
     """Equal or unequal masses, k = 0 or random, a signed potential of radius
     1 or 2, and a grid with N >= 2R + 1 at offset 0, 1/4 or 1/2."""
@@ -579,7 +667,7 @@ class TestFiberEigenvalues:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = [getattr(fv, f.name) for f in dataclasses.fields(fv)]
+        held = [getattr(fv, name) for name in fv.__slots__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert len(arrays) == 7
         assert all(a.size <= grid.dim * r for a in arrays)
