@@ -36,6 +36,7 @@ from .spectral import (
     count_above,
     count_below,
     default_tie_tol,
+    fiber_count_below_dense,
     fiber_eigenvalues,
 )
 
@@ -95,14 +96,16 @@ def bs_check(
 ) -> BSCheck:
     """Compare n_-(z, H(k)) against n_+(1, G(k, z)) on two independent routes.
 
-    H(k) is diagonalized in full (as its parity blocks when it has them).
-    G(k, z) has rank r, the number of potential sites, so its count comes
-    from its nonzero spectrum, the eigenvalues of the r x r Gram matrix
-    (``bs_support_eigenvalues``), which also set the default tie band.
+    n_- is counted on the dense blocks of H(k) (``fiber_count_below_dense``:
+    a Cholesky factor of each shifted block proves it has no eigenvalue
+    below the level, and a block without one is solved) at z - tie_tol,
+    by default with the tie band ``default_tie_tol`` of ``weyl_bracket``.
+    G(k, z) has rank r, the number of potential sites, so n_+ comes from
+    its nonzero spectrum, the eigenvalues of the r x r Gram matrix
+    (``bs_support_eigenvalues``), which also set its default tie band.
     """
-    eigs_h = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
-    tol = default_tie_tol(eigs_h) if tie_tol is None else tie_tol
-    n_minus = count_below(z, eigs_h, tol)
+    tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
+    n_minus = fiber_count_below_dense(m, k, fiber_potential(pot, grid), z - tol)
     if pot.is_empty():
         return BSCheck(z, n_minus, 0)
     eigs_g = bs_support_eigenvalues(m, k, pot, z, grid)

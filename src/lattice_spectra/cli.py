@@ -433,7 +433,10 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, listed by the top-level ``--help``.
+    Only the subparser named ``command`` gets its arguments, or each of
+    them when ``command`` is None: a process parses one subcommand."""
     parser = argparse.ArgumentParser(
         prog="lattice-spectra",
         description="Band geometry, spectra and theorem checks for two-particle "
@@ -442,6 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, reads) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         for dest in reads:
             p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
         # the config reads every flag; those not taken keep their defaults
@@ -450,8 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
         if args.command == "band":

@@ -3,6 +3,11 @@
 Counting is strict-inequality counting with an explicit tie band: finite
 arithmetic cannot distinguish an eigenvalue sitting exactly at a reference
 level from one a rounding error away.
+
+The dense blocks of H(k) are solved in full by ``fiber_eigenvalues``, and
+counted below a level by ``fiber_count_below_dense``, which needs a
+spectrum only where a Cholesky factor does not prove the count zero
+(Sylvester's law of inertia).
 """
 
 from __future__ import annotations
@@ -68,6 +73,77 @@ def fiber_eigenvalues(m: MassPair, k: Quasimomentum, fiber: FiberPotential) -> n
     return np.sort(np.concatenate(spectra))
 
 
+def _lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """low^{-1} b for a lower-triangular low, by halves of its rows: the
+    top half first, then the bottom half against b less the product of
+    the top's solution with the block below it.  LAPACK's general solve
+    takes the pieces of at most 64 rows; above that size a matrix product
+    costs a fraction of a general solve of the whole."""
+    n = len(low)
+    if n <= 64:
+        return np.linalg.solve(low, b)
+    half = n // 2
+    top = _lower_solve(low[:half, :half], b[:half])
+    bottom = _lower_solve(low[half:, half:], b[half:] - low[half:, :half] @ top)
+    return np.vstack([top, bottom])
+
+
+def _positive_definite(h: np.ndarray) -> bool:
+    """Whether the symmetric h is positive definite, from one step of block
+    Cholesky (Haynsworth 1968).
+
+    With h = [[A, B], [B^T, C]] split at half its rows, h is positive
+    definite exactly when A and its Schur complement C - B^T A^{-1} B are.
+    A = L L^T is factored, W = L^{-1} B solved (``_lower_solve``), and the
+    complement formed as C - W^T W in W^T W's own storage, a temporary
+    beside h: h itself is never written.  No array here has more than
+    ceil(n/2) rows or columns (n the rows of h), and at most three quarters
+    of n x n are held at once.  A factor that fails, LAPACK's
+    LinAlgError, answers False.
+    """
+    half = len(h) // 2
+    try:
+        w = _lower_solve(np.linalg.cholesky(h[:half, :half]), h[:half, half:])
+        schur = w.T @ w
+        del w
+        np.subtract(h[half:, half:], schur, out=schur)
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def fiber_count_below_dense(
+    m: MassPair, k: Quasimomentum, fiber: FiberPotential, level: float
+) -> int:
+    """#{eigenvalues of H(k) < level}, from the blocks that
+    ``fiber_eigenvalues`` solves, without their spectra where it can.
+
+    Per deflated block (``FiberPotential.deflated_blocks``) the count is
+    the split-off copies below level plus, by Sylvester's law of inertia,
+    the negative eigenvalues of the block shifted by level.  Those are 0
+    when the shifted block has a Cholesky factor (``_positive_definite``,
+    about a third of the work of its spectrum); otherwise the untouched
+    shifted block is solved and they are counted.  A block is checked as
+    ``eig_sym`` checks it, and a LAPACK failure of the solve raises
+    NumericalFailure.
+
+    Memory: beside a block of n rows the certificate holds about three
+    quarters of n x n at once, in arrays of at most ceil(n/2) rows and
+    columns, and the fallback LAPACK's n x n copy of the block.  No n x n
+    array is allocated beside the block and that copy, as a plain
+    ``np.linalg.cholesky`` of the block, whose factor is n x n, would.
+    """
+    count = 0
+    for h, copies in fiber.deflated_blocks(m, k):
+        count += int(np.count_nonzero(copies < level))
+        _check_symmetric(h)
+        h[np.diag_indices_from(h)] -= level
+        if not _positive_definite(h):
+            count += int(np.count_nonzero(_eigvalsh(h) < 0.0))
+    return count
+
+
 def default_tie_tol(eigenvalues: Sequence[float]) -> float:
     """Tie band 1e-9 * max(1, spectral scale)."""
     arr = np.asarray(eigenvalues, dtype=float)
@@ -128,15 +204,19 @@ def verify_counting_theorem(a: MatrixLike, v: MatrixLike) -> CountingCheck:
     Also checks the mirrored form at M(A) and the corollary with |V|,
     where |V| is the operator absolute value (eigenvalue signs flipped in
     V's own eigenbasis), never the entrywise one.  The tie band is
-    ``default_tie_tol`` of the three spectra.
+    ``default_tie_tol`` of the three spectra.  A, V and A - V are each
+    checked as ``eig_sym`` checks them and solved in one stacked call;
+    LAPACK still solves them one by one, so the eigenvalues are those of
+    three separate solves.
     """
     amat = _as_matrix(a)
     vmat = _as_matrix(v)
     if amat.shape != vmat.shape:
         raise ValueError(f"dimension mismatch: {amat.shape} vs {vmat.shape}")
-    eigs_a = eig_sym(amat)
-    eigs_v = eig_sym(vmat)
-    eigs_av = eig_sym(amat - vmat)
+    stack = np.stack([amat, vmat, amat - vmat])
+    for mat in stack:
+        _check_symmetric(mat)
+    eigs_a, eigs_v, eigs_av = _eigvalsh(stack)
     m_a = float(eigs_a[0])
     big_m_a = float(eigs_a[-1])
     width = big_m_a - m_a

@@ -15,7 +15,7 @@ import numpy as np
 
 import lattice_spectra
 from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, operators
-from lattice_spectra.cli import _build_parser, _jsonable, main
+from lattice_spectra.cli import COMMANDS, _build_parser, _jsonable, main
 from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
 
@@ -413,6 +413,23 @@ class TestPerCommandFlags:
         assert got == TAKES
         assert sum(len(v) for v in got.values()) == 47
         assert len(UNREAD) == 40
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        sub = next(a for a in _build_parser("critical")._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(TAKES)
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == {name: TAKES[name] if name == "critical" else set() for name in TAKES}
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(TAKES) + "}" in out
+        for help_text, _ in COMMANDS.values():
+            assert help_text in out
 
     @pytest.mark.parametrize("command, flag", UNREAD)
     def test_unread_flag_is_usage_error(self, capsys, point_pot_file, command, flag):
