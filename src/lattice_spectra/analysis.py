@@ -19,6 +19,7 @@ from .errors import NumericalFailure, PreconditionError, ZeroPotentialError
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 from .operators import (
     _axis_factors,
+    _eigvalsh,
     _require_grid_fits,
     _require_psd,
     _resolvent_kernel,
@@ -202,7 +203,7 @@ def _threshold_report(
         # unitary change of basis of U whose first column is coef / |coef|
         rest = np.linalg.qr(np.column_stack([coef, np.eye(len(lam))]))[0][:, 1:]
         values = [float(lam @ np.abs(coef) ** 2) / overlap**2,
-                  *np.linalg.eigvalsh(rest.conj().T @ (lam[:, None] * rest))]
+                  *_eigvalsh(rest.conj().T @ (lam[:, None] * rest))]
         overlaps = [overlap] + [0.0] * (len(lam) - 1)
     n_zero = len(lam) - int(resonance)
     names = {(True, True): "resonance_plus_zero_eigenvalue", (True, False): "resonance",

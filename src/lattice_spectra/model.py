@@ -107,25 +107,20 @@ class RelativeMomentum(TorusVector):
 
 
 def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
-    """Drop exact zeros, validate finiteness and evenness, fill missing pairs."""
+    """Validate finiteness and evenness (zeros too), fill missing pairs, then drop zeros."""
     out: dict[Site, float] = {}
     for s, v in entries.items():
         s = (int(s[0]), int(s[1]), int(s[2]))
         v = float(v)
         if not math.isfinite(v):
             raise PotentialFormatError(f"non-finite value {v!r} at site {s}")
-        if v == 0.0:
-            continue
         neg = (-s[0], -s[1], -s[2])
+        # s and neg enter out together, so s in out means neg is there too
         if s in out and out[s] != v:
-            raise EvennessError(f"conflicting values at site {s}: {out[s]} vs {v}")
-        if neg in out and out[neg] != v:
-            raise EvennessError(
-                f"evenness violated: v({neg})={out[neg]} but v({s})={v}"
-            )
+            raise EvennessError(f"evenness violated: v({neg})={out[neg]} but v({s})={v}")
         out[s] = v
         out[neg] = v
-    return out
+    return {s: v for s, v in out.items() if v != 0.0}
 
 
 class _Potential(NamedTuple):
@@ -214,13 +209,6 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
         if site in raw:
             raise PotentialFormatError(f"duplicate site {site}")
         raw[site] = float(v)
-    # detect explicit pair conflicts before zero-dropping canonicalization
-    for site, v in raw.items():
-        neg = (-site[0], -site[1], -site[2])
-        if neg in raw and raw[neg] != v:
-            raise EvennessError(
-                f"evenness violated: v({site})={v} but v({neg})={raw[neg]}"
-            )
     return Potential(raw)
 
 
@@ -256,11 +244,11 @@ class MomentumGrid(_MomentumGrid):
     __slots__ = ()
 
     def __new__(cls, n_per_dim: int, offset: float = 0.5) -> "MomentumGrid":
-        if n_per_dim < 2:
-            raise ValueError(f"need N >= 2, got {n_per_dim}")
+        if not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 2:
+            raise ValueError(f"need an integer N >= 2, got {n_per_dim!r}")
         if not (0.0 <= offset < 1.0):
             raise ValueError(f"offset must be in [0, 1), got {offset}")
-        return super().__new__(cls, n_per_dim, offset)
+        return super().__new__(cls, int(n_per_dim), offset)
 
     @property
     def dim(self) -> int:

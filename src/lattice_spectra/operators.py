@@ -10,16 +10,23 @@ bytes exceed the machine's physical memory is refused before it
 allocates.  ``_convolution_matrix`` and the dense V, V^{1/2}, H(k) and
 G(k, z) builders are test oracles, in ``tests/oracles.py``.
 
+E is sampled one way on every path: from its three axis factors e_j
+(``_axis_factors``), summed as (e_1 + e_2) + e_3.  Whether z lies below
+(above) every sample is read off them as (min e_1 + min e_2) + min e_3
+(the same with max), which is the extreme summed sample exactly
+(``_sampled_band``).  There is one evenness rule (``_even_factor``): on a
+grid closed under parity (offset 0 or 1/2), a factor equal to its mirror
+image within PARITY_TOL of the scale of E is even, and is replaced by its
+pair means.  At k = 0, or for equal masses, every factor is even.
+
 V has rank r, the number of potential sites, so the questions the theorems
 ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
-K of E, sampled on the grid from the three axis factors of E, into the
-r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost and O(N^2)
-memory: it forms E and K one slab of axis-1 planes at a time
-(GRAM_SLAB_NODES), and no N^3 array is built.  An axis whose factor is
-even under the grid reflection (every axis at k = 0 or for equal masses,
-on a grid closed under parity) is folded onto one node of each mirror
-pair, with the pair's phases summed to a cosine (``_fold_axis``), so K is
-evaluated on about N^3 / 8 nodes there.  Its users:
+K of E into the r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost
+and O(N^2) memory: it forms E and K one slab of axis-1 planes at a time
+(GRAM_SLAB_NODES), and no N^3 array is built.  An even axis is folded onto
+one node of each mirror pair, with the pair's phases summed to a cosine
+(``_fold_axis``), so K is evaluated on about N^3 / 8 nodes when all three
+are even.  Its users:
 
 * with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
@@ -31,10 +38,6 @@ evaluated on about N^3 / 8 nodes there.  Its users:
 * with K = 1/(E - z0) - 1/(E - z), the norm of G(k, z0) - G(k, z)
   (``bs_difference_norm``).
 
-Whether z lies below (above) every sample of E is read off the axis
-factors as (min e_1 + min e_2) + min e_3 (the same with max), which is the
-extreme summed sample exactly (``_sampled_band``).
-
 ``weyl_bracket`` bounds the spectrum of H(k) without solving it, and sets
 the default tie band of those counts.
 
@@ -43,14 +46,13 @@ go through ``fiber_potential``: V does not depend on k, so its N^3 x r
 plane-wave factor, V = C diag(w) C^T + S diag(w') S^T with cosine and
 sine columns C and S, is built once per (potential, grid) and shared
 read-only across k and worker threads; the N^3 x N^3 V is not formed.
-The potential is even, so V commutes with the parity q -> -q.  On a grid
-closed under parity (offset 0 or 1/2), whenever the sampled dispersion is
-even too (equal masses, or k = 0), H(k) is handed to the eigensolver as
-its even and odd blocks of about N^3 / 2 each, a quarter of the dense
-work; otherwise as one N^3 x N^3 block.  C is even and S odd, so each block is its diagonal
-minus one rank-r product of rows of C or of S (of both for the full
-block), and is refused before it allocates when its 8 rows^2 bytes
-exceed physical memory.
+The potential is even, so V commutes with the parity q -> -q.  When every
+axis factor is even, so is E, and H(k) is handed to the eigensolver as
+its even and odd blocks of about N^3 / 2 each (a quarter of the dense
+work), else as one N^3 x N^3 block; C is even and S odd, so each block
+is its diagonal minus one rank-r product of rows of C, of S or of both.
+``FiberPotential._parts`` decides the blocks, their memory guard and the
+tolerance of their levels, once per k.
 
 The diagonal of a block is often very degenerate: equal masses on the
 zone diagonal (E is symmetric in the three axes) or a direction with
@@ -58,15 +60,11 @@ k_j = pi (E does not depend on q_j) leave levels of many nodes with the
 same E.  On a level of m nodes the block is e I minus a matrix of rank at
 most the block's rank r_b, so m - r_b of its eigenvalues equal e exactly.
 ``FiberPotential.deflated_blocks`` splits those off before the solve
-(``_deflate``, the deflation step of the rank-one-update eigensolver of
-Bunch, Nielsen & Sorensen 1978): the m rows of the factor on a level are
-replaced by the r_b x r_b R of their QR factorization, an orthogonal
-change of basis inside the level, so each level keeps at most r_b rows.
-Levels are runs of sorted samples within PARITY_TOL of the scale of E;
-by Weyl, placing a run at its mean moves no eigenvalue by more than the
-run's spread.  A block whose levels are no longer than its rank (a
-generic k) passes through unchanged.  The memory guard still applies to
-the rows of the whole block.
+(``_deflate``, the deflation step of Bunch, Nielsen & Sorensen 1978).
+Levels are runs of sorted samples within the evenness tolerance, and by
+Weyl placing a run at its mean moves no eigenvalue by more than its
+spread.  A block whose levels are no longer than its rank (a generic k)
+passes through unchanged.
 
 Birman-Schwinger operators are positive semidefinite.  Their Gram
 spectrum refuses a smallest eigenvalue below
@@ -158,10 +156,10 @@ def potential_spectrum(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, 
     return np.append(support, 0.0), mult
 
 
-# The sampled dispersion counts as parity-even when E(q) and E(-q) agree to
-# this many machine epsilons of its scale.  Node rounding leaves at most
-# about 3 eps, and by Weyl's inequality solving with the symmetrized diagonal
-# moves no eigenvalue by more than half the admitted defect.
+# An axis factor of E counts as parity-even when e_j(q_j) and e_j(-q_j)
+# agree to this many machine epsilons of the scale of E.  Node rounding
+# leaves at most about 3 eps, and by Weyl's inequality solving with the
+# pair means moves no eigenvalue by more than half the defects' sum.
 PARITY_TOL = 64.0 * float(np.finfo(float).eps)
 
 
@@ -204,9 +202,10 @@ class FiberPotential:
     representatives ``odd_nodes``.  C is even in q and S odd, so the even
     block of V is built from ``even_factor``, the rows of C at
     ``even_nodes`` (times sqrt(2) at the pairs), and the odd block from
-    ``odd_factor``, the rows of S at ``odd_nodes`` times sqrt(2).
-    Otherwise ``mirror`` and the parity fields are None.  Two instances
-    compare equal only when they are the same object.
+    ``odd_factor``, the rows of S at ``odd_nodes`` times sqrt(2).  They
+    serve every k at which each axis factor of E is even (``_parts``); on
+    other grids they are None.  Two instances compare equal only when they
+    are the same object.
     """
 
     __slots__ = ("potential", "grid", "factor", "weights", "n_cos",
@@ -232,30 +231,38 @@ class FiberPotential:
 
     def _parts(
         self, m: MassPair, k: Quasimomentum
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(diagonal, factor rows, weights) of each diagonal block of H(k).
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+        """(diagonal, factor rows, weights) of each diagonal block of H(k),
+        and the tolerance of the evenness test, which also bounds a level.
 
-        Two parity blocks when the grid is parity-closed and the sampled
-        dispersion is even (always for equal masses or at k = 0), else the
-        full matrix.  A block is its diagonal minus f diag(w) f^T.
+        The diagonal samples E as the Gram does, (e_1 + e_2) + e_3.  Two
+        parity blocks when every axis factor is even (``_even_factor``),
+        each factor then replaced by its pair means, else the full matrix.
+        A block is its diagonal minus f diag(w) f^T, and is refused here
+        when its rows do not fit in memory.
         """
-        e = dispersion_on_grid(m, k, self.grid)
+        factors = _axis_factors(m, k, self.grid)
+        tol = PARITY_TOL * max(1.0, _sampled_band(factors)[1])
+        axis = None if self.mirror is None else _axis_mirror(self.grid)
+        even = [_even_factor(ej, axis, tol) for ej in factors]
+        split = all(ej is not None for ej in even)
+        e1, e2, e3 = even if split else factors
+        e = ((e1[:, None, None] + e2[:, None]) + e3).ravel()
         parts = [(e, self.factor, self.weights)]
-        if self.mirror is not None:
-            flip = e[self.mirror]
-            if np.abs(e - flip).max() <= PARITY_TOL * max(1.0, float(np.abs(e).max())):
-                e = 0.5 * (e + flip)
-                parts = [
-                    (e[self.even_nodes], self.even_factor, self.weights[: self.n_cos]),
-                    (e[self.odd_nodes], self.odd_factor, self.weights[self.n_cos :]),
-                ]
-        return parts
+        if split:
+            parts = [
+                (e[self.even_nodes], self.even_factor, self.weights[: self.n_cos]),
+                (e[self.odd_nodes], self.odd_factor, self.weights[self.n_cos :]),
+            ]
+        for diag, _, _ in parts:
+            _require_dense_fits(len(diag), self.grid)
+        return parts, tol
 
     def blocks(self, m: MassPair, k: Quasimomentum) -> Iterator[np.ndarray]:
         """H(k) as the diagonal blocks whose spectra together make up its own
         (see ``_parts``), each built when the iteration reaches it."""
-        for diag, f, w in self._parts(m, k):
-            yield _block(diag, f, w, self.grid)
+        for diag, f, w in self._parts(m, k)[0]:
+            yield _block(diag, f, w)
 
     def deflated_blocks(
         self, m: MassPair, k: Quasimomentum
@@ -263,23 +270,18 @@ class FiberPotential:
         """Each block of H(k) with its degenerate levels deflated (``_deflate``),
         as the reduced block and the eigenvalues split off from it.
 
-        Levels are runs of diagonal samples within PARITY_TOL of the scale
-        of E.  The memory guard applies to the rows of the whole block, so
-        deflation changes the cost of a solve but not which grids are
-        accepted.
+        Levels are runs of diagonal samples within the tolerance of
+        ``_parts``, whose memory guard counts the rows of the whole block:
+        deflation changes the cost of a solve, not which grids are accepted.
         """
-        parts = self._parts(m, k)
-        scale = max(float(np.abs(diag).max(initial=0.0)) for diag, _, _ in parts)
-        tol = PARITY_TOL * max(1.0, scale)
+        parts, tol = self._parts(m, k)
         for diag, f, w in parts:
-            _require_dense_fits(len(diag), self.grid)
             diag, f, copies = _deflate(diag, f, tol)
-            yield _block(diag, f, w, self.grid), copies
+            yield _block(diag, f, w), copies
 
 
-def _block(diag: np.ndarray, f: np.ndarray, w: np.ndarray, grid: MomentumGrid) -> np.ndarray:
-    """diag - f diag(w) f^T, refused before it allocates when it does not fit."""
-    _require_dense_fits(f.shape[0], grid)
+def _block(diag: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """diag - f diag(w) f^T."""
     h = (f * -w) @ f.T
     h[np.diag_indices_from(h)] += diag
     return h
@@ -457,23 +459,33 @@ def _resolvent_kernel(z: float) -> Kernel:
     return kernel
 
 
+def _even_factor(e: np.ndarray, mirror: Optional[np.ndarray], tol: float) -> Optional[np.ndarray]:
+    """The pair means (e_j + e_j[mirror]) / 2, exactly even, of an axis factor
+    even under the grid reflection within tol, else None (also without a
+    mirror).  Both paths take tol = PARITY_TOL * max(1, largest sample)."""
+    if mirror is None or np.abs(e - e[mirror]).max() > tol:
+        return None
+    return 0.5 * (e + e[mirror])
+
+
 def _fold_axis(
     e: np.ndarray, a: np.ndarray, u: np.ndarray, mirror: Optional[np.ndarray], tol: float
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """One axis of ``_support_gram``: (e_j, phase angles q_j u, weights).
 
-    When e_j is even under the grid reflection ``mirror`` within tol, the
-    axis is folded: one node of each mirror pair is kept with weight 2 and
-    the pair's mean e_j, and a self-mirrored node with weight 1; the pair's
-    two phases exp(+-i q_j u) sum to 2 cos(q_j u).  Otherwise every node is
-    kept and the weights are None.
+    When e_j is even (``_even_factor``), the axis is folded: one node of
+    each mirror pair is kept with weight 2 and the pair's mean e_j, and a
+    self-mirrored node with weight 1; the pair's two phases exp(+-i q_j u)
+    sum to 2 cos(q_j u).  Otherwise every node is kept and the weights are
+    None.
     """
-    if mirror is None or np.abs(e - e[mirror]).max() > tol:
+    even = _even_factor(e, mirror, tol)
+    if even is None:
         return e, np.outer(a, u), None
     nodes = np.arange(len(e))
     keep = nodes <= mirror
     weight = np.where(nodes < mirror, 2.0, 1.0)[keep, None]
-    return 0.5 * (e + e[mirror])[keep], np.outer(a[keep], u), weight
+    return even[keep], np.outer(a[keep], u), weight
 
 
 def _difference_kernel(z0: float, z: float) -> Kernel:
@@ -500,11 +512,11 @@ def _support_gram(
     computed for every needed difference at once by contracting K against
     the per-axis phase vectors, one axis at a time.  Each axis has at most
     4R + 1 distinct differences (R the support radius), so the cost is
-    O(N^3 |U|) multiply-adds.  An axis whose factor is even under the grid
-    reflection (within PARITY_TOL of the scale of E, as in
-    ``FiberPotential``) is folded onto about half its nodes with cosine
-    phases (``_fold_axis``): at k = 0, or for equal masses at any k, all
-    three are, and K is evaluated on about N^3 / 8 nodes.  The grid is
+    O(N^3 |U|) multiply-adds.  An axis whose factor is even
+    (``_even_factor``, the rule of the dense blocks) is folded onto about
+    half its nodes with cosine phases (``_fold_axis``): at k = 0, or for
+    equal masses at any k, all three are, and K is evaluated on about
+    N^3 / 8 nodes.  The grid is
     streamed in slabs of axis-1 planes of at most GRAM_SLAB_NODES nodes
     (one plane when a plane is larger), each contracted and added into the
     Green table before the next is formed, so the memory is O(N^2) reals;

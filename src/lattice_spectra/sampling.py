@@ -40,8 +40,7 @@ def random_potential(
                 v = float(rng.uniform(0.0, 2.0))
                 if not nonnegative:
                     v -= 1.0
-                entries[s] = v
-                entries[(-s1, -s2, -s3)] = v
+                entries[s] = v  # Potential fills in -s
     if not entries:
         entries[(0, 0, 0)] = float(rng.uniform(0.1, 2.0))
     return Potential(entries)

@@ -268,6 +268,30 @@ class TestResonanceAnalysis:
         rep = resonance_analysis(M11, Potential({(1, 0, 0): 1.0 / (a + b)}), grid)
         assert rep.classification == "resonance"
 
+    def test_lapack_failure_in_the_unit_eigenspace_is_numerical_failure(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # with a resonance the operator is solved once more, compressed to
+        # the rest of the unit eigenspace; a LAPACK failure there is a
+        # NumericalFailure (exit 3), not a traceback
+        grid = MomentumGrid(8)
+        lam_star = critical_coupling(M11, point_potential(1.0), grid).lambda_star
+        pot = point_potential(lam_star)
+        assert resonance_analysis(M11, pot, grid).has_resonance
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps({"sites": [{"s": [0, 0, 0], "v": lam_star}]}))
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            resonance_analysis(M11, pot, grid)
+        code = main(["verify", "--suite", "existence", "--grid", "8",
+                     "--potential", str(path), "--k", "0.5,0.5,0.5"])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_requires_nonnegative(self):
         with pytest.raises(PreconditionError):
             resonance_analysis(M11, Potential({(1, 0, 0): -1.0}), MomentumGrid(4))

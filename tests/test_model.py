@@ -86,6 +86,23 @@ class TestPotential:
         with pytest.raises(EvennessError):
             load_potential(doc)
 
+    @pytest.mark.parametrize("entries", [
+        {(1, 0, 0): 0.0, (-1, 0, 0): 1.0},
+        {(-1, 0, 0): 1.0, (1, 0, 0): 0.0},
+        {(0, 2, -1): 0.0, (0, -2, 1): -0.5},
+    ])
+    def test_explicit_zero_conflicting_with_its_pair_rejected(self, entries):
+        # an explicit zero is a value like any other: it must match its pair
+        with pytest.raises(EvennessError):
+            Potential(entries)
+        doc = {"sites": [{"s": list(s), "v": v} for s, v in entries.items()]}
+        with pytest.raises(EvennessError):
+            load_potential(json.dumps(doc))
+
+    def test_explicit_zero_pair_dropped(self):
+        pot = Potential({(1, 0, 0): 0.0, (-1, 0, 0): 0.0, (0, 0, 0): 2.0})
+        assert dict(pot.entries) == {(0, 0, 0): 2.0}
+
     def test_duplicate_site_rejected(self):
         doc = '{"sites": [{"s": [1,0,0], "v": 1.0}, {"s": [1,0,0], "v": 1.0}]}'
         with pytest.raises(PotentialFormatError):
@@ -166,6 +183,17 @@ class TestMomentumGrid:
             MomentumGrid(1)
         with pytest.raises(ValueError):
             MomentumGrid(4, offset=1.0)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, "8", None, np.float64(6.0)])
+    def test_non_integer_size_rejected(self, n):
+        # 4.5 used to give dim 91.125 and five axis nodes
+        with pytest.raises(ValueError, match="integer"):
+            MomentumGrid(n)
+
+    def test_numpy_integer_size_accepted(self):
+        grid = MomentumGrid(np.int64(6), 0.0)
+        assert grid == MomentumGrid(6, 0.0) and type(grid.n_per_dim) is int
+        assert grid.dim == 216 and len(grid.axis_nodes()) == 6
 
     @pytest.mark.parametrize("n,offset", [(2, 0.0), (3, 0.5), (5, 0.25), (8, 0.5)])
     def test_nodes_distinct_in_range(self, n, offset):
