@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .errors import InputError, NumericalFailure
 from .model import (
     MassPair,
     MomentumGrid,
-    Potential,
     Quasimomentum,
     load_potential,
 )
-from .operators import FiberPotential, fiber_potential
+from .operators import fiber_potential
 from .parallel import parallel_map
 from .spectral import (
     count_above,
@@ -37,9 +36,6 @@ from .spectral import (
     fiber_eigenvalues,
     verify_counting_theorem,
 )
-
-SUITES = ("counting", "neraven", "bs", "threshold", "existence", "cheksiz", "positivity")
-
 
 class ConfigError(InputError):
     """CLI-level configuration problem."""
@@ -82,23 +78,9 @@ def _parse_k_path(text: str) -> list[Quasimomentum]:
     return [_quasimomentum(start + t * (end - start)) for t in ts]
 
 
-class RunConfig(NamedTuple):
-    masses: MassPair
-    potential: Optional[Potential]
-    grid: MomentumGrid
-    k_list: list[Quasimomentum]
-    schedule: analysis.ZSchedule
-    tie_tol: Optional[float]
-    unit_tol: float
-    overlap_tol: float
-    pos_tol: Optional[float]
-    seed: int
-    trials: Optional[int]
-    refine: bool
-    out: Optional[str]
-
-
-def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argparse.Namespace:
+    """Every parsed flag, with masses, potential and grid resolved to their
+    model objects, plus the k-points (k_list) and the z-schedule."""
     mp = args.masses.split(",")
     if len(mp) != 2:
         raise ConfigError(f"--masses wants m1,m2, got {args.masses!r}")
@@ -120,9 +102,7 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         schedule = analysis.ZSchedule(args.z_delta0, args.z_ratio, args.z_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    k_list: list[Quasimomentum] = []
-    for trip in args.k or []:
-        k_list.append(_quasimomentum(_parse_triple(trip)))
+    k_list = [_quasimomentum(_parse_triple(trip)) for trip in args.k or []]
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
     if args.trials is not None and args.trials < 1:
@@ -136,24 +116,11 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> RunConf
         if val is not None and not (math.isfinite(val) and 0.0 < val < high):
             span = "> 0" if high == math.inf else "in (0, 1)"
             raise ConfigError(f"--{name.replace('_', '-')} must be finite and {span}, got {val}")
-    return RunConfig(
-        masses=masses,
-        potential=pot,
-        grid=grid,
-        k_list=k_list,
-        schedule=schedule,
-        tie_tol=args.tie_tol,
-        unit_tol=args.unit_tol,
-        overlap_tol=args.overlap_tol,
-        pos_tol=args.pos_tol,
-        seed=args.seed,
-        trials=args.trials,
-        refine=args.refine,
-        out=args.out,
-    )
+    return argparse.Namespace(**{**vars(args), "masses": masses, "potential": pot, "grid": grid,
+                                 "k_list": k_list, "schedule": schedule})
 
 
-def _require_k(cfg: RunConfig) -> list[Quasimomentum]:
+def _require_k(cfg: argparse.Namespace) -> list[Quasimomentum]:
     if not cfg.k_list:
         raise ConfigError("this command requires --k or --k-path")
     return cfg.k_list
@@ -200,7 +167,7 @@ def _emit_json(doc, out: Optional[str]) -> None:
 # Subcommands
 
 
-def cmd_band(cfg: RunConfig) -> int:
+def cmd_band(cfg: argparse.Namespace) -> int:
     records = [
         {"k": list(k.components), **band_geometry(cfg.masses, k)._asdict()}
         for k in _require_k(cfg)
@@ -209,35 +176,38 @@ def cmd_band(cfg: RunConfig) -> int:
     return 0
 
 
-def _spectrum_record(cfg: RunConfig, v: FiberPotential, k: Quasimomentum) -> dict:
-    geo = band_geometry(cfg.masses, k)
-    eigs = fiber_eigenvalues(cfg.masses, k, v)
-    tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
-    return {
-        "k": list(k.components),
-        "e_min": geo.e_min,
-        "e_max": geo.e_max,
-        "eigenvalues": eigs,
-        "n_below_band": count_below(geo.e_min, eigs, tol),
-        "n_above_band": count_above(geo.e_max, eigs, tol),
-    }
-
-
-def cmd_spectrum(cfg: RunConfig) -> int:
-    ks = _require_k(cfg)
+def _spectrum_records(cfg: argparse.Namespace) -> list[dict]:
+    """Eigenvalues and band counts per k, the k-points in the pool."""
     v = fiber_potential(cfg.potential, cfg.grid)
-    records = parallel_map(lambda k: _spectrum_record(cfg, v, k), ks)
-    _emit_json({"spectrum": records}, cfg.out)
+
+    def record(k: Quasimomentum) -> dict:
+        geo = band_geometry(cfg.masses, k)
+        eigs = fiber_eigenvalues(cfg.masses, k, v)
+        tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
+        return {
+            "k": list(k.components),
+            "e_min": geo.e_min,
+            "e_max": geo.e_max,
+            "eigenvalues": eigs,
+            "n_below_band": count_below(geo.e_min, eigs, tol),
+            "n_above_band": count_above(geo.e_max, eigs, tol),
+        }
+
+    return parallel_map(record, _require_k(cfg))
+
+
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
+    _emit_json({"spectrum": _spectrum_records(cfg)}, cfg.out)
     return 0
 
 
-def cmd_critical(cfg: RunConfig) -> int:
+def cmd_critical(cfg: argparse.Namespace) -> int:
     result = analysis.critical_coupling(cfg.masses, cfg.potential, cfg.grid, cfg.refine)
     _emit_json(result._asdict(), cfg.out)
     return 0
 
 
-def _suite_counting(cfg: RunConfig) -> dict:
+def _suite_counting(cfg: argparse.Namespace) -> dict:
     rng = np.random.default_rng(cfg.seed)
     trials = 200 if cfg.trials is None else cfg.trials
     failures = []
@@ -252,7 +222,7 @@ def _suite_counting(cfg: RunConfig) -> dict:
     return {"trials": trials, "failures": failures, "pass": not failures}
 
 
-def _suite_bs(cfg: RunConfig) -> dict:
+def _suite_bs(cfg: argparse.Namespace) -> dict:
     rng = np.random.default_rng(cfg.seed)
     trials = 50 if cfg.trials is None else cfg.trials
     sizes = (4, 6, 8)
@@ -273,7 +243,7 @@ def _suite_bs(cfg: RunConfig) -> dict:
     return {"trials": trials, "cases": cases, "pass": ok}
 
 
-def _suite_threshold(cfg: RunConfig) -> dict:
+def _suite_threshold(cfg: argparse.Namespace) -> dict:
     records = []
     ok = True
     for k in _require_k(cfg):
@@ -290,7 +260,7 @@ def _suite_threshold(cfg: RunConfig) -> dict:
     return {"records": records, "pass": ok}
 
 
-def _suite_neraven(cfg: RunConfig) -> dict:
+def _suite_neraven(cfg: argparse.Namespace) -> dict:
     records = []
     ok = True
     for k in _require_k(cfg):
@@ -301,7 +271,7 @@ def _suite_neraven(cfg: RunConfig) -> dict:
     return {"records": records, "pass": ok}
 
 
-def _suite_existence(cfg: RunConfig) -> dict:
+def _suite_existence(cfg: argparse.Namespace) -> dict:
     rep = analysis.verify_existence(
         cfg.masses, cfg.potential, _require_k(cfg), cfg.grid,
         unit_tol=cfg.unit_tol, overlap_tol=cfg.overlap_tol,
@@ -310,13 +280,13 @@ def _suite_existence(cfg: RunConfig) -> dict:
     return {**_jsonable(rep), "pass": rep.all_ok}
 
 
-def _suite_cheksiz(cfg: RunConfig) -> dict:
+def _suite_cheksiz(cfg: argparse.Namespace) -> dict:
     ks = _require_k(cfg)
     rep = analysis.verify_cheksiz(cfg.masses, ks[0], cfg.potential, cfg.grid, cfg.schedule)
     return {**_jsonable(rep), "pass": rep.holds}
 
 
-def _suite_positivity(cfg: RunConfig) -> dict:
+def _suite_positivity(cfg: argparse.Namespace) -> dict:
     ks = list(cfg.k_list)
     if not ks:
         rng = np.random.default_rng(cfg.seed)
@@ -326,64 +296,62 @@ def _suite_positivity(cfg: RunConfig) -> dict:
     return {**_jsonable(rep), "pass": rep.all_ok}
 
 
-def cmd_verify(cfg: RunConfig, suites: Sequence[str]) -> int:
-    runners = {
-        "counting": _suite_counting,
-        "bs": _suite_bs,
-        "threshold": _suite_threshold,
-        "neraven": _suite_neraven,
-        "existence": _suite_existence,
-        "cheksiz": _suite_cheksiz,
-        "positivity": _suite_positivity,
-    }
-    needs_pot = {"threshold", "neraven", "existence", "cheksiz", "positivity"}
+# The verify suites in ``--suite all`` order: name -> (runner, needs --potential).
+SUITES = {
+    "counting": (_suite_counting, False),
+    "neraven": (_suite_neraven, True),
+    "bs": (_suite_bs, False),
+    "threshold": (_suite_threshold, True),
+    "existence": (_suite_existence, True),
+    "cheksiz": (_suite_cheksiz, True),
+    "positivity": (_suite_positivity, True),
+}
+
+
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    names = cfg.suite.split(",") if cfg.suite != "all" else list(SUITES)
+    for name in names:
+        if name not in SUITES:
+            raise ConfigError(f"unknown suite {name!r}")
     report = {}
     all_pass = True
-    for name in suites:
-        if name in needs_pot and cfg.potential is None:
+    for name in names:
+        runner, wants_potential = SUITES[name]
+        if wants_potential and cfg.potential is None:
             raise ConfigError(f"suite {name!r} requires --potential")
-        report[name] = runners[name](cfg)
+        report[name] = runner(cfg)
         all_pass = all_pass and report[name]["pass"]
     report["pass"] = all_pass
     _emit_json(report, cfg.out)
     return 0 if all_pass else 1
 
 
-def cmd_plotdata(cfg: RunConfig, quantity: str) -> int:
+def cmd_plotdata(cfg: argparse.Namespace) -> int:
     import csv  # only plotdata writes CSV
 
     ks = _require_k(cfg)
+    if cfg.quantity != "band_edges" and cfg.potential is None:
+        raise ConfigError(f"{cfg.quantity} requires --potential")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if quantity == "band_edges":
+    if cfg.quantity == "band_edges":
         writer.writerow(["k1", "k2", "k3", "e_min", "e_max", "w_b", "w_1b", "w_2b", "w_3b"])
         for k in ks:
             geo = band_geometry(cfg.masses, k)
             writer.writerow([*k.components, geo.e_min, geo.e_max, geo.w_b, *geo.w_jb])
-    elif quantity == "below_band_eigs":
-        if cfg.potential is None:
-            raise ConfigError("below_band_eigs requires --potential")
+    elif cfg.quantity == "below_band_eigs":
         writer.writerow(["k1", "k2", "k3", "e_min", "n_below", "below_band_eigs"])
-        v = fiber_potential(cfg.potential, cfg.grid)
-        for k in ks:
-            geo = band_geometry(cfg.masses, k)
-            eigs = fiber_eigenvalues(cfg.masses, k, v)
-            tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
-            below = eigs[eigs < geo.e_min - tol]
-            writer.writerow(
-                [*k.components, geo.e_min, len(below), ";".join(repr(float(x)) for x in below)]
-            )
-    elif quantity == "bs_counts":
-        if cfg.potential is None:
-            raise ConfigError("bs_counts requires --potential")
+        # the eigenvalues ascend, so the first n_below_band are those below
+        for rec in _spectrum_records(cfg):
+            below = rec["eigenvalues"][: rec["n_below_band"]].tolist()
+            writer.writerow([*rec["k"], rec["e_min"], len(below), ";".join(map(repr, below))])
+    else:  # bs_counts, the last of the quantities argparse accepts
         writer.writerow(["k1", "k2", "k3", "z", "n_plus"])
         for k in ks:
             tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
                                           cfg.tie_tol)
             for z, c in zip(tc.zs, tc.counts):
                 writer.writerow([*k.components, z, c])
-    else:
-        raise ConfigError(f"unknown quantity {quantity!r}")
     _emit(buf.getvalue(), cfg.out)
     return 0
 
@@ -459,19 +427,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
-        if args.command == "band":
-            return cmd_band(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "critical":
-            return cmd_critical(cfg)
-        if args.command == "plotdata":
-            return cmd_plotdata(cfg, args.quantity)
-        names = args.suite.split(",") if args.suite != "all" else list(SUITES)
-        for name in names:
-            if name not in SUITES:
-                raise ConfigError(f"unknown suite {name!r}")
-        return cmd_verify(cfg, names)
+        handler = {"band": cmd_band, "spectrum": cmd_spectrum, "critical": cmd_critical,
+                   "verify": cmd_verify, "plotdata": cmd_plotdata}[args.command]
+        return handler(cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

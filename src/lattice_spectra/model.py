@@ -106,11 +106,21 @@ class RelativeMomentum(TorusVector):
     __slots__ = ()
 
 
+def _site(s) -> Site:
+    """The one gate for sites: a tuple, or a JSON list, of three Python or
+    numpy integers, not bools.  A coordinate is never rounded: 1.5 is
+    refused, not read as 1."""
+    if not (isinstance(s, (tuple, list)) and len(s) == 3 and all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in s)):
+        raise PotentialFormatError(f"site must be a triple of integers, got {s!r}")
+    return (int(s[0]), int(s[1]), int(s[2]))
+
+
 def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
-    """Validate finiteness and evenness (zeros too), fill missing pairs, then drop zeros."""
+    """Validate sites, finiteness and evenness (zeros too), fill missing pairs, then drop zeros."""
     out: dict[Site, float] = {}
     for s, v in entries.items():
-        s = (int(s[0]), int(s[1]), int(s[2]))
+        s = _site(s)
         v = float(v)
         if not math.isfinite(v):
             raise PotentialFormatError(f"non-finite value {v!r} at site {s}")
@@ -197,15 +207,9 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
             v = item["v"]
         except (TypeError, KeyError) as exc:
             raise PotentialFormatError(f"bad site record {item!r}") from exc
-        if (
-            not isinstance(s, list)
-            or len(s) != 3
-            or not all(isinstance(c, int) for c in s)
-        ):
-            raise PotentialFormatError(f"site must be a triple of integers, got {s!r}")
+        site = _site(s)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise PotentialFormatError(f"value must be a number, got {v!r}")
-        site: Site = (s[0], s[1], s[2])
         if site in raw:
             raise PotentialFormatError(f"duplicate site {site}")
         raw[site] = float(v)

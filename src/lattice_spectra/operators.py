@@ -67,8 +67,8 @@ spread.  A block whose levels are no longer than its rank (a generic k)
 passes through unchanged.
 
 Birman-Schwinger operators are positive semidefinite.  Their Gram
-spectrum refuses a smallest eigenvalue below
--PSD_TOL * max(1, largest |eigenvalue|) with ``NumericalFailure``
+spectrum refuses a non-finite eigenvalue, or a smallest eigenvalue below
+-PSD_TOL * max(1, largest |eigenvalue|), with ``NumericalFailure``
 (``_require_psd``); rounding stays far above that floor.  The
 inertia counts apply the same floor to G~(z) below the band and to -G~(z)
 above it.
@@ -399,7 +399,12 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _require_psd(eigs: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Birman-Schwinger operator, checked PSD."""
+    """Ascending eigenvalues of a Birman-Schwinger operator, checked finite
+    and PSD.  A kernel that overflows (1/(E - z) with z a denormal from a
+    node where E = 0) leaves NaN in the Gram; NaN compares false against
+    any floor, so finiteness is checked first."""
+    if not np.isfinite(eigs).all():
+        raise NumericalFailure("Birman-Schwinger matrix has a non-finite eigenvalue")
     floor = -PSD_TOL * max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if eigs[0] < floor:
         raise NumericalFailure(

@@ -7,7 +7,10 @@ level from one a rounding error away.
 The dense blocks of H(k) are solved in full by ``fiber_eigenvalues``, and
 counted below a level by ``fiber_count_below_dense``, which needs a
 spectrum only where a Cholesky factor does not prove the count zero
-(Sylvester's law of inertia).
+(Sylvester's law of inertia).  A matrix from a caller is checked square,
+finite and symmetric before it is solved (``_check_symmetric``); the
+count checks the blocks, which the library builds symmetric, for
+finiteness only (``_check_finite``).
 """
 
 from __future__ import annotations
@@ -27,17 +30,24 @@ def _as_matrix(op: MatrixLike) -> np.ndarray:
     return op.matrix if isinstance(op, GridOperator) else np.asarray(op, dtype=float)
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """Square, finite and symmetric within 1e-10 of the largest entry.
-
-    NaN compares false, so finiteness is checked first: max and min
-    propagate NaN and infinities.  One n x n temporary at most.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
+def _check_finite(a: np.ndarray) -> tuple[float, float]:
+    """The largest and smallest entry of a, each bounded by 0, checked
+    finite: max and min propagate NaN and infinities.  No temporary."""
     top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
     if not (np.isfinite(top) and np.isfinite(bottom)):
         raise NumericalFailure("matrix handed to the eigensolver has non-finite entries")
+    return top, bottom
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    """Square, finite and symmetric within 1e-10 of the largest entry.
+
+    NaN compares false, so finiteness is checked first (``_check_finite``).
+    One n x n temporary at most.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSymmetricError(f"expected a square matrix, got shape {a.shape}")
+    top, bottom = _check_finite(a)
     asym = a - a.T
     np.abs(asym, out=asym)
     if float(asym.max(initial=0.0)) > 1e-10 * max(1.0, top, -bottom):
@@ -124,9 +134,10 @@ def fiber_count_below_dense(
     the negative eigenvalues of the block shifted by level.  Those are 0
     when the shifted block has a Cholesky factor (``_positive_definite``,
     about a third of the work of its spectrum); otherwise the untouched
-    shifted block is solved and they are counted.  A block is checked as
-    ``eig_sym`` checks it, and a LAPACK failure of the solve raises
-    NumericalFailure.
+    shifted block is solved and they are counted.  The blocks are built
+    symmetric, so each is checked for finiteness only (``_check_finite``;
+    an E or a weight 2v that overflows makes one non-finite), and a LAPACK
+    failure of the solve raises NumericalFailure.
 
     Memory: beside a block of n rows the certificate holds about three
     quarters of n x n at once, in arrays of at most ceil(n/2) rows and
@@ -137,7 +148,7 @@ def fiber_count_below_dense(
     count = 0
     for h, copies in fiber.deflated_blocks(m, k):
         count += int(np.count_nonzero(copies < level))
-        _check_symmetric(h)
+        _check_finite(h)
         h[np.diag_indices_from(h)] -= level
         if not _positive_definite(h):
             count += int(np.count_nonzero(_eigvalsh(h) < 0.0))

@@ -518,3 +518,64 @@ class TestJsonable:
         doc = _jsonable({"a": np.array([[0.5, -1.0]]), "b": np.arange(3), 2: np.float64(1.5)})
         assert doc == {"a": [[0.5, -1.0]], "b": [0, 1, 2], "2": 1.5}
         assert type(doc["a"][0][0]) is float and type(doc["b"][0]) is int
+
+
+class TestSuiteTable:
+    """One table says which verify suites need --potential, and in which
+    order ``--suite all`` runs them."""
+
+    @pytest.mark.parametrize("suite", ["neraven", "threshold", "existence", "cheksiz",
+                                       "positivity"])
+    def test_suite_without_potential_is_refused(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--k", "0,0,0", "--grid", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite!r} requires --potential\n"
+
+    @pytest.mark.parametrize("suite", ["counting", "bs"])
+    def test_suite_runs_without_potential(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[suite]["pass"] is True
+
+    def test_all_names_the_first_suite_that_needs_a_potential(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "1",
+                             "--k", "0,0,0", "--grid", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: suite 'neraven' requires --potential\n"
+
+
+class TestBelowBandEigsAreSpectrumRecords:
+    ARGS = ("--grid", "6", "--k-path", "0,0,0:3.14159,1,0.5:5")
+
+    @pytest.mark.parametrize("flag", [(), ("--tie-tol", "0.5")])
+    def test_rows_list_the_first_n_below_band_eigenvalues(self, capsys, five_site_pot_file,
+                                                          flag):
+        args = ("--potential", five_site_pot_file, *self.ARGS, *flag)
+        code, out, _ = run(capsys, "spectrum", *args)
+        assert code == 0
+        records = json.loads(out)["spectrum"]
+        code, out, _ = run(capsys, "plotdata", "--quantity", "below_band_eigs", *args)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == len(records) == 5
+        assert sum(rec["n_below_band"] for rec in records) > 0
+        for row, rec in zip(rows, records):
+            n = rec["n_below_band"]
+            assert [float(x) for x in row[:4]] == [*rec["k"], rec["e_min"]]
+            assert int(row[4]) == n
+            listed = [float(x) for x in row[5].split(";")] if row[5] else []
+            assert listed == rec["eigenvalues"][:n]
+
+
+class TestOverflowingGramIsNumericalFailure:
+    def test_threshold_suite_exits_three(self, capsys, tmp_path):
+        # at offset 0 the grid has the node q = 0, where E = 0, and
+        # 1/(E - z) at z = -1e-320 overflows
+        path = tmp_path / "pot3.json"
+        path.write_text('{"sites": [{"s": [0, 0, 0], "v": 3.0}]}')
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "verify", "--suite", "threshold", "--potential",
+                                 str(path), "--offset", "0", "--grid", "4", "--k", "0,0,0",
+                                 "--tie-tol", "1e-320")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure:") and "non-finite" in err

@@ -209,3 +209,36 @@ class TestMomentumGrid:
         axis = MomentumGrid(n, 0.5).axis_nodes()
         assert np.abs(axis).min() > 1e-12
         assert np.abs(np.abs(axis) - math.pi).min() > 1e-12
+
+
+class TestSiteCoordinates:
+    """``Potential`` is the one gate for sites: three integers, no rounding."""
+
+    @pytest.mark.parametrize("entries", [
+        {(1.5, 0, 0): 1.0},
+        {(1.5, 0, 0): 1.0, (1.2, 0, 0): 2.0},
+        {(1, 0): 1.0},
+        {(1, 0, 0, 0): 1.0},
+        {(True, 0, 0): 1.0},
+        {(np.float64(1.0), 0, 0): 1.0},
+        {"abc": 1.0},
+        {b"abc": 1.0},
+        {5: 1.0},
+    ])
+    def test_python_api_refuses_non_integer_sites(self, entries):
+        with pytest.raises(PotentialFormatError, match="triple of integers") as info:
+            Potential(entries)
+        assert type(info.value) is PotentialFormatError
+
+    @pytest.mark.parametrize("site", [[True, 0, 0], [0, 0, False], [1.5, 0, 0], [1.0, 0, 0],
+                                      ["1", 0, 0], [None, 0, 0], [1, 0], [[1], 0, 0]])
+    def test_json_refuses_non_integer_sites(self, site):
+        doc = json.dumps({"sites": [{"s": site, "v": 1.0}]})
+        with pytest.raises(PotentialFormatError, match="triple of integers") as info:
+            load_potential(doc)
+        assert type(info.value) is PotentialFormatError
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        pot = Potential({(np.int64(1), np.int32(0), 2): 1.5})
+        assert dict(pot.entries) == {(1, 0, 2): 1.5, (-1, 0, -2): 1.5}
+        assert all(type(c) is int for s in pot.entries for c in s)

@@ -924,3 +924,25 @@ class TestNonFiniteZAndLapackFailure:
         monkeypatch.setattr(np.linalg, "eigvalsh", second_fails)
         with pytest.raises(NumericalFailure):
             fiber_count_below(self.M, K0, self.POT, -1.0, self.GRID)
+
+
+class TestOverflowingKernel:
+    """At offset 0 the grid has a node with E = 0, and 1/(E - z) overflows
+    for a denormal z below it: the Gram holds NaN, whose eigenvalues no
+    PSD floor refuses by comparison."""
+
+    M, POT, GRID = MassPair(1.0, 1.0), Potential({(0, 0, 0): 3.0}), MomentumGrid(4, 0.0)
+
+    def test_count_clear_of_the_overflow(self):
+        assert fiber_count_below(self.M, K0, self.POT, -1e-12, self.GRID) == 1
+
+    @pytest.mark.parametrize("call", [fiber_count_below, bs_support_eigenvalues])
+    def test_overflow_is_numerical_failure(self, call):
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
+            call(self.M, K0, self.POT, -1e-320, self.GRID)
+
+    def test_non_finite_eigenvalue_refused(self):
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            operators._require_psd(np.array([np.nan, 1.0]))
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            operators._require_psd(np.array([0.5, np.inf]))

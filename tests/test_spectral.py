@@ -260,3 +260,29 @@ class TestFiberCountBelowDense:
         with pytest.raises(NumericalFailure, match="did not converge"):
             fiber_count_below_dense(MassPair(1.0, 2.0), Quasimomentum(0.3, 0.5, -1.2),
                                     fiber, 20.0)
+
+
+class TestDenseCountChecksFiniteness:
+    """The count checks the blocks the library built for finiteness only."""
+
+    def test_no_symmetry_check_of_built_blocks(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("symmetry check")
+
+        monkeypatch.setattr(spectral, "_check_symmetric", refuse)
+        m, k = MassPair(2.5, 1.25), Quasimomentum(-0.3, -2.2, -0.6)
+        pot, grid = Potential({(0, 0, 0): 3.6, (0, 1, 0): 7.7}), MomentumGrid(4)
+        level = 0.5
+        dense = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        expected = int(np.count_nonzero(dense < level))
+        assert expected > 0
+        assert fiber_count_below_dense(m, k, fiber_potential(pot, grid), level) == expected
+
+    @pytest.mark.parametrize("m, pot", [
+        (MassPair(1e-308, 1.0), Potential({(0, 0, 0): 2.0})),  # E overflows
+        (MassPair(1.0, 1.0), Potential({(0, 0, 0): 1.0, (1, 0, 0): 1e308})),  # 2v overflows
+    ])
+    def test_overflow_is_numerical_failure(self, m, pot):
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
+            fiber_count_below_dense(m, Quasimomentum(0.3, 0.5, -1.2),
+                                    fiber_potential(pot, MomentumGrid(4)), -1.0)
