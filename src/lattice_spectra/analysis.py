@@ -10,13 +10,14 @@ means (the CLI turns report flags into exit codes).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dispersion import band_geometry, degenerate_directions
-from .errors import NumericalFailure, PreconditionError, ZeroPotentialError
-from .model import MassPair, MomentumGrid, Potential, Quasimomentum
+from .errors import InputError, NumericalFailure, PreconditionError, ZeroPotentialError
+from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _real
 from .operators import (
     _axis_factors,
     _eigvalsh,
@@ -44,13 +45,7 @@ from .spectral import (
 ZERO_K = Quasimomentum(0.0, 0.0, 0.0)
 
 
-class _ZSchedule(NamedTuple):
-    delta0: float
-    ratio: float
-    steps: int
-
-
-class ZSchedule(_ZSchedule):
+class ZSchedule(namedtuple("ZSchedule", "delta0 ratio steps")):
     """Geometric approach z_i = e_min - delta0 * ratio^i from below."""
 
     __slots__ = ()
@@ -58,12 +53,14 @@ class ZSchedule(_ZSchedule):
     def __new__(cls, delta0: float = 1.0, ratio: float = 0.1, steps: int = 7) -> "ZSchedule":
         # NaN fails every comparison, so each check is written to pass
         # only a finite value in range
-        if not (math.isfinite(delta0) and delta0 > 0.0):
-            raise ValueError(f"delta0 must be finite and > 0, got {delta0}")
-        if not (0.0 < ratio < 1.0):
-            raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+        if not (math.isfinite(_real(delta0, "delta0")) and delta0 > 0.0):
+            raise InputError(f"delta0 must be finite and > 0, got {delta0}")
+        if not (0.0 < _real(ratio, "ratio") < 1.0):
+            raise InputError(f"ratio must be in (0, 1), got {ratio}")
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise InputError(f"steps must be an integer, got {steps!r}")
         if steps < 2:
-            raise ValueError("need at least 2 steps")
+            raise InputError("need at least 2 steps")
         return super().__new__(cls, delta0, ratio, steps)
 
     def points(self, e_min: float) -> list[float]:
@@ -572,11 +569,10 @@ def verify_cheksiz(
     if not degen:
         raise PreconditionError("no degenerate direction at this (m, k)")
     j = min(degen)
-    half = (grid.n_per_dim - 1) // 2
     target = sum(
         1
         for s in pot.axis_sites(j)
-        if abs(s) <= half and pot.value(tuple(s if i == j else 0 for i in range(3))) > 0
+        if pot.value(tuple(s if i == j else 0 for i in range(3))) > 0
     )
     if not pot.is_nonnegative():
         raise PreconditionError("degenerate-direction count requires v-hat >= 0")

@@ -97,11 +97,8 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
             raise ConfigError(f"cannot read potential file: {exc}") from exc
     elif need_potential:
         raise ConfigError("this command requires --potential")
-    try:
-        grid = MomentumGrid(args.grid, args.offset)
-        schedule = analysis.ZSchedule(args.z_delta0, args.z_ratio, args.z_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = MomentumGrid(args.grid, args.offset)
+    schedule = analysis.ZSchedule(args.z_delta0, args.z_ratio, args.z_steps)
     k_list = [_quasimomentum(_parse_triple(trip)) for trip in args.k or []]
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
@@ -181,17 +178,19 @@ def _spectrum_records(cfg: argparse.Namespace) -> list[dict]:
     v = fiber_potential(cfg.potential, cfg.grid)
 
     def record(k: Quasimomentum) -> dict:
-        geo = band_geometry(cfg.masses, k)
-        eigs = fiber_eigenvalues(cfg.masses, k, v)
-        tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
-        return {
-            "k": list(k.components),
-            "e_min": geo.e_min,
-            "e_max": geo.e_max,
-            "eigenvalues": eigs,
-            "n_below_band": count_below(geo.e_min, eigs, tol),
-            "n_above_band": count_above(geo.e_max, eigs, tol),
-        }
+        # a worker thread does not inherit main's errstate
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            geo = band_geometry(cfg.masses, k)
+            eigs = fiber_eigenvalues(cfg.masses, k, v)
+            tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
+            return {
+                "k": list(k.components),
+                "e_min": geo.e_min,
+                "e_max": geo.e_max,
+                "eigenvalues": eigs,
+                "n_below_band": count_below(geo.e_min, eigs, tol),
+                "n_above_band": count_above(geo.e_max, eigs, tol),
+            }
 
     return parallel_map(record, _require_k(cfg))
 
@@ -429,7 +428,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
         handler = {"band": cmd_band, "spectrum": cmd_spectrum, "critical": cmd_critical,
                    "verify": cmd_verify, "plotdata": cmd_plotdata}[args.command]
-        return handler(cfg)
+        # an overflow is the library's to report, as exit 3, not numpy's to
+        # print as a RuntimeWarning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return handler(cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

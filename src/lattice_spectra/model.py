@@ -1,22 +1,23 @@
 """Domain types: masses, torus momenta, finitely supported potentials, grids.
 
 All types are immutable after construction and safe to share between
-threads.  Each is a NamedTuple whose ``__new__`` validates its arguments,
-on a plain NamedTuple base that holds the fields.  Momentum components
-live on the torus (-pi, pi]; grid nodes live in [-pi, pi) with an optional
-sub-step offset.
+threads.  Each is one class on a ``collections.namedtuple`` base; its
+``__new__`` validates the arguments, raising ``InputError``.  Momentum
+components live on the torus (-pi, pi]; grid nodes live in [-pi, pi) with
+an optional sub-step offset.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from types import MappingProxyType
-from typing import IO, Mapping, NamedTuple, Union
+from typing import IO, Mapping, Union
 
 import numpy as np
 
-from .errors import EvennessError, PotentialFormatError
+from .errors import EvennessError, InputError, PotentialFormatError
 
 Site = tuple[int, int, int]
 
@@ -30,21 +31,16 @@ def _wrap(x: float) -> float:
     return w if w > -math.pi else math.pi
 
 
-class _MassPair(NamedTuple):
-    m1: float
-    m2: float
-
-
-class MassPair(_MassPair):
+class MassPair(namedtuple("MassPair", "m1 m2")):
     """Masses of the two particles; both strictly positive, with finite reciprocals."""
 
     __slots__ = ()
 
     def __new__(cls, m1: float, m2: float) -> "MassPair":
-        if not all(0.0 < m < math.inf for m in (m1, m2)):
-            raise ValueError(f"masses must be positive and finite, got {m1}, {m2}")
+        if not all(0.0 < _real(m, "mass") < math.inf for m in (m1, m2)):
+            raise InputError(f"masses must be positive and finite, got {m1}, {m2}")
         if not all(math.isfinite(1.0 / m) for m in (m1, m2)):
-            raise ValueError(f"mass reciprocals overflow to infinity, got {m1}, {m2}")
+            raise InputError(f"mass reciprocals overflow to infinity, got {m1}, {m2}")
         return super().__new__(cls, m1, m2)
 
     def equal_masses(self) -> bool:
@@ -59,13 +55,7 @@ class MassPair(_MassPair):
         return 1.0 / self.m1 - 1.0 / self.m2
 
 
-class _TorusVector(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-
-
-class TorusVector(_TorusVector):
+class TorusVector(namedtuple("TorusVector", "c1 c2 c3")):
     """A point of the three-torus; components normalized into (-pi, pi]."""
 
     __slots__ = ()
@@ -73,9 +63,9 @@ class TorusVector(_TorusVector):
     def __new__(cls, c1: float, c2: float, c3: float) -> "TorusVector":
         wrapped = []
         for name, c in zip(cls._fields, (c1, c2, c3)):
-            c = float(c)
+            c = float(_real(c, f"torus component {name}"))
             if not math.isfinite(c):
-                raise ValueError(f"torus component {name} must be finite, got {c}")
+                raise InputError(f"torus component {name} must be finite, got {c}")
             wrapped.append(_wrap(c))
         return super().__new__(cls, *wrapped)
 
@@ -106,6 +96,14 @@ class RelativeMomentum(TorusVector):
     __slots__ = ()
 
 
+def _real(x, name: str):
+    """The one gate for numbers: a Python or numpy int or float, never a
+    bool or a str, returned as given."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be a real number, got {x!r}")
+    return x
+
+
 def _site(s) -> Site:
     """The one gate for sites: a tuple, or a JSON list, of three Python or
     numpy integers, not bools.  A coordinate is never rounded: 1.5 is
@@ -133,11 +131,7 @@ def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
     return {s: v for s, v in out.items() if v != 0.0}
 
 
-class _Potential(NamedTuple):
-    entries: Mapping[Site, float]
-
-
-class Potential(_Potential):
+class Potential(namedtuple("Potential", "entries")):
     """Finitely supported even real function v-hat on the lattice Z^3.
 
     ``entries`` is a read-only mapping, so evenness and ``support_radius``
@@ -163,7 +157,7 @@ class Potential(_Potential):
         return not self.entries
 
     def value(self, s: Site) -> float:
-        return self.entries.get((int(s[0]), int(s[1]), int(s[2])), 0.0)
+        return self.entries.get(_site(s), 0.0)
 
     def scaled(self, c: float) -> "Potential":
         return Potential({s: c * v for s, v in self.entries.items()})
@@ -231,12 +225,7 @@ def momentum_kernel(pot: Potential, q: TorusVector) -> float:
     return (TWO_PI) ** -1.5 * total
 
 
-class _MomentumGrid(NamedTuple):
-    n_per_dim: int
-    offset: float
-
-
-class MomentumGrid(_MomentumGrid):
+class MomentumGrid(namedtuple("MomentumGrid", "n_per_dim offset")):
     """Uniform N^3 grid on the torus with a fractional sub-step offset.
 
     Node components are -pi + (n + offset) * (2*pi/N), n = 0..N-1.  The
@@ -249,9 +238,9 @@ class MomentumGrid(_MomentumGrid):
 
     def __new__(cls, n_per_dim: int, offset: float = 0.5) -> "MomentumGrid":
         if not isinstance(n_per_dim, (int, np.integer)) or n_per_dim < 2:
-            raise ValueError(f"need an integer N >= 2, got {n_per_dim!r}")
-        if not (0.0 <= offset < 1.0):
-            raise ValueError(f"offset must be in [0, 1), got {offset}")
+            raise InputError(f"need an integer N >= 2, got {n_per_dim!r}")
+        if not (0.0 <= _real(offset, "offset") < 1.0):
+            raise InputError(f"offset must be in [0, 1), got {offset}")
         return super().__new__(cls, int(n_per_dim), offset)
 
     @property

@@ -33,7 +33,13 @@ from lattice_spectra import (
 )
 from lattice_spectra import analysis, cli, operators
 from lattice_spectra.cli import main
-from lattice_spectra.errors import NumericalFailure, PreconditionError, ZeroPotentialError
+from lattice_spectra.errors import (
+    GridTooSmallError,
+    InputError,
+    NumericalFailure,
+    PreconditionError,
+    ZeroPotentialError,
+)
 
 from conftest import k_pi, point_potential
 from oracles import build_bs, build_h, dense_resonance_analysis
@@ -63,6 +69,23 @@ class TestZSchedule:
             ZSchedule(delta0=bad)
         with pytest.raises(ValueError):
             ZSchedule(ratio=bad)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"delta0": 0.0}, "delta0 must be finite and > 0, got 0.0"),
+        ({"ratio": 1.0}, r"ratio must be in \(0, 1\), got 1.0"),
+        ({"steps": 1}, "need at least 2 steps"),
+        ({"steps": 3.5}, "steps must be an integer, got 3.5"),
+        ({"steps": True}, "steps must be an integer, got True"),
+        ({"delta0": "1"}, "delta0 must be a real number"),
+        ({"ratio": True}, "ratio must be a real number"),
+    ])
+    def test_refusals_are_input_errors(self, kwargs, message):
+        # points() would raise a bare TypeError on 3.5 steps
+        with pytest.raises(InputError, match=message):
+            ZSchedule(**kwargs)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert len(ZSchedule(steps=np.int64(3)).points(0.0)) == 3
 
 
 @st.composite
@@ -480,6 +503,12 @@ class TestCheksiz:
     def test_non_degenerate_rejected(self):
         with pytest.raises(PreconditionError):
             verify_cheksiz(M11, K0, point_potential(1.0), MomentumGrid(6))
+
+    def test_axis_site_beyond_the_grid_is_refused(self):
+        # a site past (N - 1) // 2 never reaches the target count
+        pot = Potential({(0, 0, 0): 1.0, (4, 0, 0): 1.0})
+        with pytest.raises(GridTooSmallError):
+            verify_cheksiz(M11, Quasimomentum(math.pi, 0, 0), pot, MomentumGrid(8))
 
 
 class TestContinuity:

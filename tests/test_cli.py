@@ -579,3 +579,47 @@ class TestOverflowingGramIsNumericalFailure:
                                  "--tie-tol", "1e-320")
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure:") and "non-finite" in err
+
+
+def cli_process(*argv, **env):
+    """A ``python -m lattice_spectra.cli`` process, as a user runs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lattice_spectra.__file__)))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "lattice_spectra.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestNoNumpyWarnings:
+    """An overflow is reported once, as exit 3; numpy prints no warning."""
+
+    @pytest.fixture
+    def pot3(self, tmp_path):
+        path = tmp_path / "pot3.json"
+        path.write_text('{"sites": [{"s": [0, 0, 0], "v": 3.0}]}')
+        return str(path)
+
+    def test_overflowing_gram(self, pot3):
+        proc = cli_process("verify", "--suite", "threshold", "--potential", pot3, "--offset", "0",
+                           "--grid", "4", "--k", "0,0,0", "--tie-tol", "1e-320")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
+    def test_overflowing_dispersion_in_worker_threads(self, pot3):
+        # numpy's error state does not pass from main to the pool's threads
+        proc = cli_process("spectrum", "--masses", "1e-308,1", "--grid", "4", "--potential", pot3,
+                           "--k", "0,0,0", "--k", "0.5,0,0", **{ENV_VAR: "2"})
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
+
+class TestRecordRefusalsNeedNoWrapping:
+    """``MomentumGrid`` and ``ZSchedule`` raise ``InputError`` themselves."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--offset", "1.5"), "offset must be in [0, 1), got 1.5"),
+        (("--z-steps", "1"), "need at least 2 steps"),
+    ])
+    def test_exit_two_with_the_records_message(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--suite", "counting", "--k", "0,0,0", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

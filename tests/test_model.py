@@ -19,7 +19,7 @@ from lattice_spectra import (
     momentum_kernel,
     save_potential,
 )
-from lattice_spectra.errors import EvennessError, PotentialFormatError
+from lattice_spectra.errors import EvennessError, InputError, PotentialFormatError
 
 TWO_PI_POW = (2.0 * math.pi) ** -1.5
 
@@ -242,3 +242,48 @@ class TestSiteCoordinates:
         pot = Potential({(np.int64(1), np.int32(0), 2): 1.5})
         assert dict(pot.entries) == {(1, 0, 2): 1.5, (-1, 0, -2): 1.5}
         assert all(type(c) is int for s in pot.entries for c in s)
+
+
+class TestRecordsRefuseNonNumbers:
+    """Numbers pass one gate: a Python or numpy int or float, never a bool or a str."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Quasimomentum("0.5", 0.0, 0.0),
+        lambda: Quasimomentum(0.5, True, 0),
+        lambda: RelativeMomentum(0.0, 0.0, None),
+        lambda: MassPair(True, 1),
+        lambda: MassPair(1.0, "2"),
+        lambda: MomentumGrid(4, "0.5"),
+        lambda: MomentumGrid(4, False),
+    ])
+    def test_refused_as_input_errors(self, make):
+        with pytest.raises(InputError, match="must be a real number"):
+            make()
+
+    def test_numpy_scalars_accepted(self):
+        assert Quasimomentum(np.float64(0.5), np.int64(1), 0) == (0.5, 1.0, 0.0)
+        assert MassPair(np.float32(2.0), np.int64(1)) == (2.0, 1.0)
+        assert MomentumGrid(4, np.float64(0.25)).offset == 0.25
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: MassPair(0.0, 1.0), "masses must be positive and finite, got 0.0, 1.0"),
+        (lambda: MassPair(1e-320, 1.0), "mass reciprocals overflow to infinity"),
+        (lambda: Quasimomentum(math.nan, 0.0, 0.0), "torus component c1 must be finite"),
+        (lambda: MomentumGrid(1), "need an integer N >= 2, got 1"),
+        (lambda: MomentumGrid(4, 1.5), r"offset must be in \[0, 1\), got 1.5"),
+    ])
+    def test_todays_refusals_are_input_errors(self, make, message):
+        with pytest.raises(InputError, match=message):
+            make()
+
+
+class TestPotentialValueSites:
+    @pytest.mark.parametrize("site", [(1.5, 0, 0), (True, 0, 0), (1, 0)])
+    def test_value_refuses_what_construction_refuses(self, site):
+        # int() would read 1.5 and True as 1, and return v(1, 0, 0)
+        with pytest.raises(PotentialFormatError, match="triple of integers"):
+            Potential({(1, 0, 0): 2.0}).value(site)
+
+    def test_value_reads_integer_sites(self):
+        pot = Potential({(1, 0, 0): 2.0})
+        assert pot.value((np.int64(-1), 0, 0)) == 2.0 and pot.value([0, 0, 0]) == 0.0
