@@ -21,11 +21,9 @@ from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _real
 from .operators import (
     _axis_factors,
     _eigvalsh,
-    _require_grid_fits,
+    _gram,
     _require_psd,
-    _resolvent_kernel,
     _sampled_band,
-    _support_gram,
     bs_difference_norm,
     bs_support_eigenvalues,
     fiber_count_above,
@@ -104,8 +102,6 @@ def bs_check(
     """
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
     n_minus = fiber_count_below_dense(m, k, fiber_potential(pot, grid), z - tol)
-    if pot.is_empty():
-        return BSCheck(z, n_minus, 0)
     eigs_g = bs_support_eigenvalues(m, k, pot, z, grid)
     n_plus = count_above(1.0, eigs_g, default_tie_tol(eigs_g) if tie_tol is None else tie_tol)
     return BSCheck(z, n_minus, n_plus)
@@ -140,9 +136,6 @@ def threshold_count(
     zs = schedule.points(e_min)
     counts = []
     for z in zs:
-        if pot.is_empty():
-            counts.append(0)
-            continue
         eigs = bs_support_eigenvalues(m, k, pot, z, grid)
         tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
         counts.append(count_above(1.0, eigs, tol))
@@ -227,7 +220,7 @@ def resonance_analysis(
     sample is strictly positive.  G(0, 0) = P K P* with P the N^3 x r plane
     waves of the sites over N^{3/2} (P* P = I), so its nonzero eigenpairs
     are (lambda, P c) for the eigenpairs (lambda, c) of the r x r Gram K
-    with kernel 1/E (``_support_gram``), and the half-potential kernel
+    with kernel 1/E (``_gram`` at z = 0), and the half-potential kernel
     vector N^{3/2} P sqrt(v) has the coordinates sqrt(v) there.
     ``_threshold_report`` sorts the eigenvalues within unit_tol of 1 into a
     resonance and zero eigenvalues.  Both tolerances lie in (0, 1), so the
@@ -240,15 +233,13 @@ def resonance_analysis(
         raise PreconditionError("threshold classification requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
-    factors = _axis_factors(m, ZERO_K, grid)
-    e_low = _sampled_band(factors)[0]
+    e_low = _sampled_band(_axis_factors(m, ZERO_K, grid))[0]
     if e_low <= 0.0:
         raise PreconditionError(
             "grid offset must keep the dispersion minimum off the grid "
             f"(min sample {e_low}); use an even N with offset 0.5"
         )
-    _require_grid_fits(pot, grid)
-    gram = _support_gram(factors, _resolvent_kernel(0.0), pot, grid)
+    gram = _gram(m, ZERO_K, pot, grid, 0.0)
     try:
         eigs, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError
 from .model import MassPair, MomentumGrid, Quasimomentum, RelativeMomentum, TorusVector
 
 
@@ -93,6 +94,6 @@ def band_geometry(m: MassPair, k: Quasimomentum) -> BandGeometry:
 def degenerate_directions(m: MassPair, k: Quasimomentum, tol: float = 1e-12) -> set[int]:
     """Axes j (0-based) along which the directional band width is <= tol."""
     if tol < 0.0:
-        raise ValueError("tol must be >= 0")
+        raise InputError("tol must be >= 0")
     geo = band_geometry(m, k)
     return {j for j in range(3) if geo.w_jb[j] <= tol}

@@ -63,7 +63,7 @@ class TorusVector(namedtuple("TorusVector", "c1 c2 c3")):
     def __new__(cls, c1: float, c2: float, c3: float) -> "TorusVector":
         wrapped = []
         for name, c in zip(cls._fields, (c1, c2, c3)):
-            c = float(_real(c, f"torus component {name}"))
+            c = _real(c, f"torus component {name}")
             if not math.isfinite(c):
                 raise InputError(f"torus component {name} must be finite, got {c}")
             wrapped.append(_wrap(c))
@@ -96,12 +96,16 @@ class RelativeMomentum(TorusVector):
     __slots__ = ()
 
 
-def _real(x, name: str):
+def _real(x, name: str, error: type[InputError] = InputError) -> float:
     """The one gate for numbers: a Python or numpy int or float, never a
-    bool or a str, returned as given."""
+    bool or a str, nor an int beyond the float range, returned as a float."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise InputError(f"{name} must be a real number, got {x!r}")
-    return x
+        raise error(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{name} is an integer beyond the float range "
+                    f"({x.bit_length()} bits)") from None
 
 
 def _site(s) -> Site:
@@ -119,7 +123,7 @@ def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
     out: dict[Site, float] = {}
     for s, v in entries.items():
         s = _site(s)
-        v = float(v)
+        v = _real(v, f"value at site {s}", PotentialFormatError)
         if not math.isfinite(v):
             raise PotentialFormatError(f"non-finite value {v!r} at site {s}")
         neg = (-s[0], -s[1], -s[2])
@@ -190,11 +194,11 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
             raise PotentialFormatError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal of too many digits
         raise PotentialFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "sites" not in doc or not isinstance(doc["sites"], list):
         raise PotentialFormatError('expected an object with a "sites" list')
-    raw: dict[Site, float] = {}
+    raw = {}
     for item in doc["sites"]:
         try:
             s = item["s"]
@@ -202,11 +206,9 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
         except (TypeError, KeyError) as exc:
             raise PotentialFormatError(f"bad site record {item!r}") from exc
         site = _site(s)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise PotentialFormatError(f"value must be a number, got {v!r}")
         if site in raw:
             raise PotentialFormatError(f"duplicate site {site}")
-        raw[site] = float(v)
+        raw[site] = v
     return Potential(raw)
 
 

@@ -5,10 +5,12 @@ N >= 2R + 1 the construction is exact on the discrete torus Z_N^3: the
 convolution operator is unitarily equivalent to multiplication by v-hat
 on the position box, so the only approximation anywhere is finite volume.
 The only N^3 x N^3 matrices built here are H0(k) (``build_h0``) and the
-blocks of H(k) handed to the eigensolver; a dense build whose 8 rows^2
-bytes exceed the machine's physical memory is refused before it
-allocates.  ``_convolution_matrix`` and the dense V, V^{1/2}, H(k) and
-G(k, z) builders are test oracles, in ``tests/oracles.py``.
+blocks of H(k) handed to the eigensolver.  A dense build is refused
+before it allocates when its 8 rows^2 bytes exceed the machine's physical
+memory, twice that for a block that is solved: the solve holds the block
+and the eigensolver's copy of it.
+``_convolution_matrix`` and the dense V, V^{1/2}, H(k) and G(k, z)
+builders are test oracles, in ``tests/oracles.py``.
 
 E is sampled one way on every path: from its three axis factors e_j
 (``_axis_factors``), summed as (e_1 + e_2) + e_3.  Whether z lies below
@@ -20,13 +22,14 @@ image within PARITY_TOL of the scale of E is even, and is replaced by its
 pair means.  At k = 0, or for equal masses, every factor is even.
 
 V has rank r, the number of potential sites, so the questions the theorems
-ask are r x r problems.  One builder, ``_support_gram``, contracts a kernel
-K of E into the r x r matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost
-and O(N^2) memory: it forms E and K one slab of axis-1 planes at a time
-(GRAM_SLAB_NODES), and no N^3 array is built.  An even axis is folded onto
-one node of each mirror pair, with the pair's phases summed to a cosine
-(``_fold_axis``), so K is evaluated on about N^3 / 8 nodes when all three
-are even.  Its users:
+ask are r x r problems, each asked through one checked entry, ``_gram``.
+Its builder, ``_support_gram``, contracts a kernel K of E into the r x r
+matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost and O(N^2) memory: it
+forms E and K one slab of axis-1 planes at a time (GRAM_SLAB_NODES), and
+no N^3 array is built.  An even axis is folded onto one node of each
+mirror pair, with the pair's phases summed to a cosine (``_fold_axis``),
+so K is evaluated on about N^3 / 8 nodes when all three are even.  Its
+users:
 
 * with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
@@ -121,20 +124,23 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _require_dense_fits(rows: int, grid: MomentumGrid) -> None:
-    need = 8.0 * rows**2
+def _require_dense_fits(rows: int, grid: MomentumGrid, solved: bool = True) -> None:
+    """DenseTooLargeError unless a dense rows x rows matrix, with the
+    eigensolver's copy of it when it is solved, fits in physical memory."""
+    need = (2 if solved else 1) * 8.0 * rows**2
     have = _physical_memory()
     if need > have:
+        copy = " and the eigensolver's copy of it" if solved else ""
         raise DenseTooLargeError(
-            f"a dense {rows} x {rows} matrix (grid N={grid.n_per_dim}) "
-            f"needs {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of "
-            "physical memory"
+            f"a dense {rows} x {rows} matrix{copy} (grid N={grid.n_per_dim}) "
+            f"would take {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
+            "of physical memory"
         )
 
 
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     """Diagonal matrix of dispersion samples over the grid nodes."""
-    _require_dense_fits(grid.dim, grid)
+    _require_dense_fits(grid.dim, grid, solved=False)
     diag = dispersion_on_grid(m, k, grid)
     return GridOperator(np.diag(diag), grid, "H0")
 
@@ -443,17 +449,6 @@ def _sampled_band(factors: AxisFactors) -> tuple[float, float]:
     )
 
 
-def _require_outside_band(factors: AxisFactors, z: float, above: bool = False) -> None:
-    """ZNotBelowBandError unless z lies below every sample of E (or above
-    every one)."""
-    low, high = _sampled_band(factors)
-    edge = high if above else low
-    if not ((z > edge) if above else (z < edge)):  # NaN fails too
-        side = "above the grid-sampled dispersion maximum" if above else (
-            "below the grid-sampled dispersion minimum")
-        raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
-
-
 def _resolvent_kernel(z: float) -> Kernel:
     """1 / (E - z), in place on a slab of E."""
 
@@ -566,6 +561,28 @@ def _support_gram(
     return 0.5 * (gram + gram.conj().T)
 
 
+def _gram(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid, z: float,
+    kernel: Optional[Kernel] = None, above: bool = False,
+) -> Optional[np.ndarray]:
+    """``_support_gram`` of H(k) at z with the kernel (1/(E - z) by default),
+    the one checked entry of every r x r question.  GridTooSmallError when
+    the grid does not hold the support, ZNotBelowBandError unless z lies
+    below every sample of E (above every one with above); None for the
+    empty potential."""
+    _require_grid_fits(pot, grid)
+    factors = _axis_factors(m, k, grid)
+    low, high = _sampled_band(factors)
+    edge = high if above else low
+    if not ((z > edge) if above else (z < edge)):  # NaN fails too
+        side = "above the grid-sampled dispersion maximum" if above else (
+            "below the grid-sampled dispersion minimum")
+        raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
+    if pot.is_empty():
+        return None
+    return _support_gram(factors, kernel or _resolvent_kernel(z), pot, grid)
+
+
 def bs_support_eigenvalues(
     m: MassPair,
     k: Quasimomentum,
@@ -580,21 +597,15 @@ def bs_support_eigenvalues(
     sqrt(v(x) v(y)) T(y - x), where
     T(u) = (1/N^3) sum_n exp(i (q_n, u)) / (E(q_n) - z)
     is the lattice Green's function of the grid at site difference u
-    (``_support_gram`` with the kernel 1/(E - z), built from the three
-    axis factors of E).
+    (``_gram`` with the kernel 1/(E - z)).  Empty for the empty potential.
 
     G is positive semidefinite, so a Gram eigenvalue below the PSD_TOL
     floor raises NumericalFailure.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
-    _require_grid_fits(pot, grid)
-    factors = _axis_factors(m, k, grid)
-    _require_outside_band(factors, z)
-    if pot.is_empty():
-        return np.zeros(0)
-    gram = _support_gram(factors, _resolvent_kernel(z), pot, grid)
-    return _require_psd(_eigvalsh(gram))
+    gram = _gram(m, k, pot, grid, z)
+    return np.zeros(0) if gram is None else _require_psd(_eigvalsh(gram))
 
 
 def bs_difference_norm(
@@ -615,17 +626,10 @@ def bs_difference_norm(
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
-    _require_grid_fits(pot, grid)
-    factors = _axis_factors(m, k, grid)
-    e_low = _sampled_band(factors)[0]
-    if not z < z0 < e_low:
-        raise ZNotBelowBandError(
-            f"need z={z} < z0={z0} < the grid-sampled dispersion minimum {e_low}"
-        )
-    if pot.is_empty():
-        return 0.0
-    gram = _support_gram(factors, _difference_kernel(z0, z), pot, grid)
-    return float(_require_psd(_eigvalsh(gram))[-1])
+    if not z < z0:  # NaN fails too
+        raise ZNotBelowBandError(f"need z={z} < z0={z0}")
+    gram = _gram(m, k, pot, grid, z0, _difference_kernel(z0, z))
+    return 0.0 if gram is None else float(_require_psd(_eigvalsh(gram))[-1])
 
 
 def _count_outside_band(
@@ -636,12 +640,9 @@ def _count_outside_band(
     grid: MomentumGrid,
     above: bool,
 ) -> int:
-    _require_grid_fits(pot, grid)
-    factors = _axis_factors(m, k, grid)
-    _require_outside_band(factors, z, above)
-    if pot.is_empty():
+    gram = _gram(m, k, pot, grid, z, above=above)
+    if gram is None:
         return 0
-    gram = _support_gram(factors, _resolvent_kernel(z), pot, grid)
     _require_psd(_eigvalsh(-gram if above else gram))
     signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
     inertia = _eigvalsh(np.diag(signs) - gram)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NonSymmetricError, NumericalFailure
+from .errors import InputError, NonSymmetricError, NumericalFailure
 from .model import MassPair, Quasimomentum
 from .operators import FiberPotential, GridOperator, _eigvalsh
 
@@ -223,7 +223,7 @@ def verify_counting_theorem(a: MatrixLike, v: MatrixLike) -> CountingCheck:
     amat = _as_matrix(a)
     vmat = _as_matrix(v)
     if amat.shape != vmat.shape:
-        raise ValueError(f"dimension mismatch: {amat.shape} vs {vmat.shape}")
+        raise InputError(f"dimension mismatch: {amat.shape} vs {vmat.shape}")
     stack = np.stack([amat, vmat, amat - vmat])
     for mat in stack:
         _check_symmetric(mat)

@@ -87,6 +87,11 @@ class TestZSchedule:
     def test_numpy_integer_steps_accepted(self):
         assert len(ZSchedule(steps=np.int64(3)).points(0.0)) == 3
 
+    def test_integer_beyond_the_float_range_is_input_error(self):
+        # math.isfinite would raise a bare OverflowError
+        with pytest.raises(InputError, match="delta0 is an integer beyond the float range"):
+            ZSchedule(delta0=10**400)
+
 
 @st.composite
 def bs_check_instances(draw):

@@ -330,6 +330,22 @@ class TestArgumentValidation:
         assert proc.stderr.startswith("error:") and "GB" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_dense_memory_guard_counts_the_solvers_copy(self, capsys, point_pot_file,
+                                                       monkeypatch):
+        # one 64-row block fits in 1.5 blocks of memory, its solve does not
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 1.5 * 8.0 * 64**2)
+        code, out, err = run(capsys, "spectrum", "--masses", "1,2.5", "--potential",
+                             point_pot_file, "--grid", "4", "--k", "0.7,-1.9,2.8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a dense 64 x 64 matrix") and err.count("\n") == 1
+
+    def test_potential_value_beyond_the_float_range(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"sites": [{"s": [0, 0, 0], "v": 1%s}]}' % ("0" * 400))
+        code, out, err = run(capsys, "critical", "--potential", str(huge), "--grid", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: value at site (0, 0, 0)") and err.count("\n") == 1
+
     def test_non_integer_thread_count(self, capsys, point_pot_file, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "two")
         code, out, err = run(

@@ -169,6 +169,36 @@ def test_memory_guard_on_undeflated_rows(monkeypatch):
         fiber_eigenvalues(EQUAL, k, fv)
 
 
+@pytest.mark.parametrize("blocks, refused", [(1.5, True), (2.0, False)])
+def test_memory_guard_counts_the_solvers_copy(monkeypatch, blocks, refused):
+    # a solve holds the block and the eigensolver's copy of it (and before
+    # that the symmetry check's difference): one 64-row block here, unequal
+    # masses at a generic k, needs two blocks of memory
+    m, k, grid = MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), MomentumGrid(4)
+    fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), grid)
+    assert [h.shape for h in fv.blocks(m, k)] == [(64, 64)]
+    monkeypatch.setattr(operators, "_physical_memory", lambda: blocks * 8.0 * 64**2)
+    if refused:
+        with pytest.raises(DenseTooLargeError):
+            fiber_eigenvalues(m, k, fv)
+        with pytest.raises(DenseTooLargeError):
+            spectral.fiber_count_below_dense(m, k, fv, 0.0)
+    else:
+        assert fiber_eigenvalues(m, k, fv).shape == (64,)
+
+
+@pytest.mark.parametrize("blocks, refused", [(0.5, True), (1.5, False)])
+def test_memory_guard_builds_h0_at_one_block(monkeypatch, blocks, refused):
+    # build_h0 holds its one matrix and hands it to no eigensolver
+    m, k, grid = MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), MomentumGrid(4)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: blocks * 8.0 * 64**2)
+    if refused:
+        with pytest.raises(DenseTooLargeError):
+            operators.build_h0(m, k, grid)
+    else:
+        assert operators.build_h0(m, k, grid).matrix.shape == (64, 64)
+
+
 def test_spectrum_dense_path_block_sizes():
     # nine sites (five cosine, four sine columns), N = 10 on the zone
     # diagonal: the 500-row parity blocks shrink to at most rank rows per level

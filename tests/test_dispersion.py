@@ -16,6 +16,7 @@ from lattice_spectra import (
     dispersion,
     eps,
 )
+from lattice_spectra.errors import InputError
 
 from conftest import k_pi, scanned_band_edges
 
@@ -137,4 +138,8 @@ class TestDegenerateDirections:
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
+            degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0), -1.0)
+
+    def test_negative_tol_is_input_error(self):
+        with pytest.raises(InputError, match="tol must be >= 0"):
             degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0), -1.0)

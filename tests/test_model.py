@@ -277,6 +277,46 @@ class TestRecordsRefuseNonNumbers:
             make()
 
 
+class TestOneGateForEveryNumber:
+    """Record fields and potential values pass the same number gate, which
+    also refuses an integer beyond the float range."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Quasimomentum(10**400, 0, 0),
+        lambda: MassPair(10**400, 1),
+        lambda: MassPair(1, -(10**400)),
+        lambda: MomentumGrid(4, 10**400),
+    ])
+    def test_integers_beyond_the_float_range_refused(self, make):
+        with pytest.raises(InputError, match="beyond the float range"):
+            make()
+
+    @pytest.mark.parametrize("value", [True, False, "3", None, [1.0], 10**400, -(10**400)],
+                             ids=["True", "False", "str", "None", "list", "huge", "-huge"])
+    def test_potential_values_refused(self, value):
+        with pytest.raises(PotentialFormatError, match=r"value at site \(0, 0, 0\)"):
+            Potential({(0, 0, 0): value})
+
+    @pytest.mark.parametrize("value", ['"3"', "true", "null", "[1.0]", "1" + "0" * 400],
+                             ids=["str", "true", "null", "list", "huge"])
+    def test_potential_file_values_refused(self, value):
+        with pytest.raises(PotentialFormatError):
+            load_potential('{"sites": [{"s": [0, 0, 0], "v": %s}]}' % value)
+
+    def test_integer_literal_past_the_digit_limit_refused(self):
+        # json.loads raises a plain ValueError for it where Python limits the digits
+        with pytest.raises(PotentialFormatError):
+            load_potential('{"sites": [{"s": [0, 0, 0], "v": 1%s}]}' % ("0" * 5000))
+
+    def test_potential_values_stored_as_floats(self):
+        pot = Potential({(0, 0, 0): 2, (1, 0, 0): np.float32(0.5), (0, 1, 0): np.int64(-3)})
+        assert dict(pot.entries) == {(0, 0, 0): 2.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5,
+                                     (0, 1, 0): -3.0, (0, -1, 0): -3.0}
+        assert all(type(v) is float for v in pot.entries.values())
+        assert dict(load_potential('{"sites": [{"s": [0, 0, 0], "v": 7}]}').entries) == {
+            (0, 0, 0): 7.0}
+
+
 class TestPotentialValueSites:
     @pytest.mark.parametrize("site", [(1.5, 0, 0), (True, 0, 0), (1, 0)])
     def test_value_refuses_what_construction_refuses(self, site):

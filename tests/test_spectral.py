@@ -20,7 +20,7 @@ from lattice_spectra import (
     spectral,
     verify_counting_theorem,
 )
-from lattice_spectra.errors import NonSymmetricError, NumericalFailure
+from lattice_spectra.errors import InputError, NonSymmetricError, NumericalFailure
 from lattice_spectra.sampling import random_low_rank_symmetric, random_symmetric
 from lattice_spectra.spectral import fiber_count_below_dense
 
@@ -125,6 +125,10 @@ class TestCountingTheorem:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
+            verify_counting_theorem(np.eye(2), np.eye(3))
+
+    def test_dimension_mismatch_is_input_error(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
             verify_counting_theorem(np.eye(2), np.eye(3))
 
     def test_rejects_non_symmetric_v(self):
