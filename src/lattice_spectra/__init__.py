@@ -11,7 +11,6 @@ from . import parallel  # noqa: F401  # isort: skip
 from .analysis import (
     BSCheck,
     CheksizReport,
-    ContinuityReport,
     CriticalCoupling,
     ExistenceReport,
     NeravenReport,
@@ -20,7 +19,6 @@ from .analysis import (
     ThresholdReport,
     ZSchedule,
     bs_check,
-    continuity_exponent,
     count_below_band,
     critical_coupling,
     positivity_check,
@@ -45,13 +43,10 @@ from .model import (
     Quasimomentum,
     RelativeMomentum,
     load_potential,
-    momentum_kernel,
-    save_potential,
 )
 from .operators import (
     FiberPotential,
     GridOperator,
-    bs_difference_norm,
     bs_support_eigenvalues,
     build_h0,
     fiber_count_above,

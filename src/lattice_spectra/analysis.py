@@ -24,7 +24,6 @@ from .operators import (
     _gram,
     _require_psd,
     _sampled_band,
-    bs_difference_norm,
     bs_support_eigenvalues,
     fiber_count_above,
     fiber_count_below,
@@ -63,9 +62,6 @@ class ZSchedule(namedtuple("ZSchedule", "delta0 ratio steps")):
 
     def points(self, e_min: float) -> list[float]:
         return [e_min - self.delta0 * self.ratio**i for i in range(self.steps)]
-
-    def deltas(self) -> list[float]:
-        return [self.delta0 * self.ratio**i for i in range(self.steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,43 +579,3 @@ def verify_cheksiz(
         w_jb_axis=geo.w_jb[j],
         h0_constant_along_axis=const_along,
     )
-
-
-# ---------------------------------------------------------------------------
-# Threshold-operator continuity
-
-
-class ContinuityReport(NamedTuple):
-    deltas: tuple[float, ...]
-    norms: tuple[float, ...]
-    exponent: float
-
-
-def continuity_exponent(
-    m: MassPair,
-    k: Quasimomentum,
-    pot: Potential,
-    grid: MomentumGrid,
-) -> ContinuityReport:
-    """Fit ||G(k, e_min) - G(k, z)|| ~ (e_min - z)^alpha along a z-schedule.
-
-    Each norm is the top eigenvalue of an r x r Gram (``bs_difference_norm``);
-    no dense G is built.  The continuum bound is square-root Hoelder; on a
-    finite grid the decay steepens towards linear once e_min - z drops below
-    the grid gap, so the fitted exponent is reported rather than a constant.
-    """
-    if pot.is_empty():
-        raise ZeroPotentialError("continuity exponent of the zero potential")
-    geo = band_geometry(m, k)
-    if _sampled_band(_axis_factors(m, k, grid))[0] <= geo.e_min:
-        raise PreconditionError(
-            "grid samples must sit strictly above the analytic band bottom"
-        )
-    schedule = ZSchedule()
-    deltas = schedule.deltas()
-    norms = [
-        bs_difference_norm(m, k, pot, geo.e_min, z, grid)
-        for z in schedule.points(geo.e_min)
-    ]
-    slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
-    return ContinuityReport(tuple(deltas), tuple(norms), slope)

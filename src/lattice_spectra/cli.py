@@ -242,32 +242,30 @@ def _suite_bs(cfg: argparse.Namespace) -> dict:
     return {"trials": trials, "cases": cases, "pass": ok}
 
 
-def _suite_threshold(cfg: argparse.Namespace) -> dict:
-    records = []
-    ok = True
-    for k in _require_k(cfg):
-        tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
-                                      cfg.tie_tol)
-        direct = analysis.count_below_band(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
-        match = (not tc.divergent) and tc.stabilized == direct
-        records.append(
-            {"k": list(k.components), "counts": list(tc.counts),
-             "stabilized": tc.stabilized, "divergent": tc.divergent,
-             "direct_n_below": direct, "pass": match}
-        )
-        ok = ok and match
-    return {"records": records, "pass": ok}
+def _per_k(check):
+    """The suite that runs check(cfg, k) at every k: one record per k, and
+    it passes when every record does."""
+
+    def suite(cfg: argparse.Namespace) -> dict:
+        records = [{"k": list(k.components), **check(cfg, k)} for k in _require_k(cfg)]
+        return {"records": records, "pass": all(rec["pass"] for rec in records)}
+
+    return suite
 
 
-def _suite_neraven(cfg: argparse.Namespace) -> dict:
-    records = []
-    ok = True
-    for k in _require_k(cfg):
-        rep = analysis.verify_neraven(cfg.masses, k, cfg.potential, cfg.grid,
-                                      tie_tol=cfg.tie_tol)
-        records.append({"k": list(k.components), **_jsonable(rep), "pass": rep.all_ok})
-        ok = ok and rep.all_ok
-    return {"records": records, "pass": ok}
+@_per_k
+def _suite_threshold(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
+    tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
+                                  cfg.tie_tol)
+    direct = analysis.count_below_band(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
+    return {"counts": list(tc.counts), "stabilized": tc.stabilized, "divergent": tc.divergent,
+            "direct_n_below": direct, "pass": (not tc.divergent) and tc.stabilized == direct}
+
+
+@_per_k
+def _suite_neraven(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
+    rep = analysis.verify_neraven(cfg.masses, k, cfg.potential, cfg.grid, tie_tol=cfg.tie_tol)
+    return {**_jsonable(rep), "pass": rep.all_ok}
 
 
 def _suite_existence(cfg: argparse.Namespace) -> dict:
@@ -279,9 +277,9 @@ def _suite_existence(cfg: argparse.Namespace) -> dict:
     return {**_jsonable(rep), "pass": rep.all_ok}
 
 
-def _suite_cheksiz(cfg: argparse.Namespace) -> dict:
-    ks = _require_k(cfg)
-    rep = analysis.verify_cheksiz(cfg.masses, ks[0], cfg.potential, cfg.grid, cfg.schedule)
+@_per_k
+def _suite_cheksiz(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
+    rep = analysis.verify_cheksiz(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
     return {**_jsonable(rep), "pass": rep.holds}
 
 

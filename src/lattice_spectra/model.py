@@ -196,6 +196,8 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
         doc = json.loads(source)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal of too many digits
         raise PotentialFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise PotentialFormatError(f"JSON nested too deeply: {exc}") from None
     if not isinstance(doc, dict) or "sites" not in doc or not isinstance(doc["sites"], list):
         raise PotentialFormatError('expected an object with a "sites" list')
     raw = {}
@@ -210,21 +212,6 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
             raise PotentialFormatError(f"duplicate site {site}")
         raw[site] = v
     return Potential(raw)
-
-
-def save_potential(pot: Potential) -> str:
-    """Serialize to the canonical (sorted, fully symmetrized) JSON form."""
-    sites = [{"s": list(s), "v": pot.entries[s]} for s in pot.sorted_sites()]
-    return json.dumps({"sites": sites}, indent=2) + "\n"
-
-
-def momentum_kernel(pot: Potential, q: TorusVector) -> float:
-    """Fourier series of v-hat at q; real because the potential is even."""
-    qa = q.as_array()
-    total = 0.0
-    for s, v in pot.entries.items():
-        total += v * math.cos(float(qa @ np.array(s)))
-    return (TWO_PI) ** -1.5 * total
 
 
 class MomentumGrid(namedtuple("MomentumGrid", "n_per_dim offset")):

@@ -28,18 +28,17 @@ matrix sqrt|v(x) v(y)| T_K(y - x), at O(N^3) cost and O(N^2) memory: it
 forms E and K one slab of axis-1 planes at a time (GRAM_SLAB_NODES), and
 no N^3 array is built.  An even axis is folded onto one node of each
 mirror pair, with the pair's phases summed to a cosine (``_fold_axis``),
-so K is evaluated on about N^3 / 8 nodes when all three are even.  Its
-users:
+so K is evaluated on about N^3 / 8 nodes when all three are even.
+``_gram`` passes it K = 1/(E - z) (the test oracles pass other kernels)
+for these users:
 
-* with K = 1/(E - z), the nonzero Birman-Schwinger spectrum of G(k, z)
+* the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
   the threshold classification of H(0) (``analysis.resonance_analysis``);
-* with K = 1/(E - z) and z outside the sampled band, the number of
-  eigenvalues of H(k) below (``fiber_count_below``) or above
-  (``fiber_count_above``) z, from the inertia of S - G~(z) with
-  S = diag(sgn v), by Haynsworth inertia additivity;
-* with K = 1/(E - z0) - 1/(E - z), the norm of G(k, z0) - G(k, z)
-  (``bs_difference_norm``).
+* with z outside the sampled band, the number of eigenvalues of H(k)
+  below (``fiber_count_below``) or above (``fiber_count_above``) z, from
+  the inertia of S - G~(z) with S = diag(sgn v), by Haynsworth inertia
+  additivity.
 
 ``weyl_bracket`` bounds the spectrum of H(k) without solving it, and sets
 the default tie band of those counts.
@@ -488,19 +487,6 @@ def _fold_axis(
     return even[keep], np.outer(a[keep], u), weight
 
 
-def _difference_kernel(z0: float, z: float) -> Kernel:
-    """(z0 - z) / ((E - z0)(E - z)), in place on a slab of E: the kernel of
-    G(k, z0) - G(k, z), written as a product, so nothing cancels."""
-
-    def kernel(e: np.ndarray) -> None:
-        shifted = e - z0
-        e -= z
-        e *= shifted
-        np.divide(z0 - z, e, out=e)
-
-    return kernel
-
-
 def _support_gram(
     factors: AxisFactors, kernel: Kernel, pot: Potential, grid: MomentumGrid
 ) -> np.ndarray:
@@ -563,13 +549,13 @@ def _support_gram(
 
 def _gram(
     m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid, z: float,
-    kernel: Optional[Kernel] = None, above: bool = False,
+    above: bool = False,
 ) -> Optional[np.ndarray]:
-    """``_support_gram`` of H(k) at z with the kernel (1/(E - z) by default),
-    the one checked entry of every r x r question.  GridTooSmallError when
-    the grid does not hold the support, ZNotBelowBandError unless z lies
-    below every sample of E (above every one with above); None for the
-    empty potential."""
+    """``_support_gram`` of H(k) at z with the kernel 1/(E - z), the one
+    checked entry of every r x r question.  GridTooSmallError when the
+    grid does not hold the support, ZNotBelowBandError unless z lies below
+    every sample of E (above every one with above); None for the empty
+    potential."""
     _require_grid_fits(pot, grid)
     factors = _axis_factors(m, k, grid)
     low, high = _sampled_band(factors)
@@ -580,7 +566,7 @@ def _gram(
         raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
     if pot.is_empty():
         return None
-    return _support_gram(factors, kernel or _resolvent_kernel(z), pot, grid)
+    return _support_gram(factors, _resolvent_kernel(z), pot, grid)
 
 
 def bs_support_eigenvalues(
@@ -606,30 +592,6 @@ def bs_support_eigenvalues(
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     gram = _gram(m, k, pot, grid, z)
     return np.zeros(0) if gram is None else _require_psd(_eigvalsh(gram))
-
-
-def bs_difference_norm(
-    m: MassPair,
-    k: Quasimomentum,
-    pot: Potential,
-    z0: float,
-    z: float,
-    grid: MomentumGrid,
-) -> float:
-    """||G(k, z0) - G(k, z)||_2 for z < z0 below the grid-sampled band.
-
-    G(k, z0) - G(k, z) = V^{1/2} [(H0 - z0)^{-1} - (H0 - z)^{-1}] V^{1/2},
-    and the middle factor is the positive diagonal
-    (z0 - z) / ((E - z0)(E - z)), so the difference is positive
-    semidefinite and its 2-norm is the top eigenvalue of the Gram with that
-    kernel (``_difference_kernel``), checked PSD.
-    """
-    if not pot.is_nonnegative():
-        raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
-    if not z < z0:  # NaN fails too
-        raise ZNotBelowBandError(f"need z={z} < z0={z0}")
-    gram = _gram(m, k, pot, grid, z0, _difference_kernel(z0, z))
-    return 0.0 if gram is None else float(_require_psd(_eigvalsh(gram))[-1])
 
 
 def _count_outside_band(

@@ -1,4 +1,5 @@
-"""Dense N^3 x N^3 oracles of V, V^{1/2}, H(k) and G(k, z), for tests only.
+"""Dense N^3 x N^3 oracles of V, V^{1/2}, H(k) and G(k, z), and the
+test-only helpers that no library caller runs, for tests only.
 
 The library works from the rank-r structure of V: the plane-wave factor
 of ``fiber_potential`` and the r x r Gram of ``_support_gram``.  The
@@ -7,11 +8,19 @@ independent reference every fast route is checked against at small N.
 They share the library's guards: a matrix whose 8 N^6 bytes exceed
 physical memory is refused before it allocates, and G is checked
 positive semidefinite against PSD_TOL.
+
+The threshold-continuity route (``continuity_exponent`` over
+``bs_difference_norm``) contracts its difference kernel through the
+library's ``_support_gram``, with the checks of ``operators._gram``
+repeated.  ``save_potential`` and ``momentum_kernel`` serialize a
+potential and evaluate its Fourier series.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,22 +29,35 @@ from lattice_spectra.analysis import (
     UNIT_TOL,
     ZERO_K,
     ThresholdReport,
+    ZSchedule,
     _threshold_report,
 )
-from lattice_spectra.dispersion import dispersion_on_grid
+from lattice_spectra.dispersion import band_geometry, dispersion_on_grid
 from lattice_spectra.errors import (
     NegativePotentialError,
     PreconditionError,
+    ZeroPotentialError,
     ZNotBelowBandError,
 )
-from lattice_spectra.model import MassPair, MomentumGrid, Potential, Quasimomentum
+from lattice_spectra.model import (
+    TWO_PI,
+    MassPair,
+    MomentumGrid,
+    Potential,
+    Quasimomentum,
+    TorusVector,
+)
 from lattice_spectra.operators import (
     FiberPotential,
     GridOperator,
+    Kernel,
+    _axis_factors,
     _eigvalsh,
     _require_dense_fits,
     _require_grid_fits,
     _require_psd,
+    _sampled_band,
+    _support_gram,
     build_h0,
 )
 
@@ -168,3 +190,101 @@ def dense_resonance_analysis(
     for s, v in pot.entries.items():
         u += math.sqrt(v) * np.cos(q @ np.array(s, dtype=float))
     return _threshold_report(eigs, vecs, u, unit_tol, overlap_tol)
+
+
+def save_potential(pot: Potential) -> str:
+    """Serialize to the canonical (sorted, fully symmetrized) JSON form."""
+    sites = [{"s": list(s), "v": pot.entries[s]} for s in pot.sorted_sites()]
+    return json.dumps({"sites": sites}, indent=2) + "\n"
+
+
+def momentum_kernel(pot: Potential, q: TorusVector) -> float:
+    """Fourier series of v-hat at q; real because the potential is even."""
+    qa = q.as_array()
+    total = 0.0
+    for s, v in pot.entries.items():
+        total += v * math.cos(float(qa @ np.array(s)))
+    return (TWO_PI) ** -1.5 * total
+
+
+def _difference_kernel(z0: float, z: float) -> Kernel:
+    """(z0 - z) / ((E - z0)(E - z)), in place on a slab of E: the kernel of
+    G(k, z0) - G(k, z), written as a product, so nothing cancels."""
+
+    def kernel(e: np.ndarray) -> None:
+        shifted = e - z0
+        e -= z
+        e *= shifted
+        np.divide(z0 - z, e, out=e)
+
+    return kernel
+
+
+def bs_difference_norm(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    z0: float,
+    z: float,
+    grid: MomentumGrid,
+) -> float:
+    """||G(k, z0) - G(k, z)||_2 for z < z0 below the grid-sampled band.
+
+    G(k, z0) - G(k, z) = V^{1/2} [(H0 - z0)^{-1} - (H0 - z)^{-1}] V^{1/2},
+    and the middle factor is the positive diagonal
+    (z0 - z) / ((E - z0)(E - z)), so the difference is positive
+    semidefinite and its 2-norm is the top eigenvalue of the Gram with that
+    kernel (``_difference_kernel``), checked PSD.  The grid and band checks
+    are those of ``operators._gram`` at z0.
+    """
+    if not pot.is_nonnegative():
+        raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
+    if not z < z0:  # NaN fails too
+        raise ZNotBelowBandError(f"need z={z} < z0={z0}")
+    _require_grid_fits(pot, grid)
+    factors = _axis_factors(m, k, grid)
+    low = _sampled_band(factors)[0]
+    if not z0 < low:  # NaN fails too
+        raise ZNotBelowBandError(
+            f"z={z0} is not below the grid-sampled dispersion minimum {low}"
+        )
+    if pot.is_empty():
+        return 0.0
+    gram = _support_gram(factors, _difference_kernel(z0, z), pot, grid)
+    return float(_require_psd(_eigvalsh(gram))[-1])
+
+
+class ContinuityReport(NamedTuple):
+    deltas: tuple[float, ...]
+    norms: tuple[float, ...]
+    exponent: float
+
+
+def continuity_exponent(
+    m: MassPair,
+    k: Quasimomentum,
+    pot: Potential,
+    grid: MomentumGrid,
+) -> ContinuityReport:
+    """Fit ||G(k, e_min) - G(k, z)|| ~ (e_min - z)^alpha along a z-schedule.
+
+    Each norm is the top eigenvalue of an r x r Gram (``bs_difference_norm``);
+    no dense G is built.  The continuum bound is square-root Hoelder; on a
+    finite grid the decay steepens towards linear once e_min - z drops below
+    the grid gap, so the fitted exponent is reported rather than a constant.
+    """
+    if pot.is_empty():
+        raise ZeroPotentialError("continuity exponent of the zero potential")
+    geo = band_geometry(m, k)
+    if _sampled_band(_axis_factors(m, k, grid))[0] <= geo.e_min:
+        raise PreconditionError(
+            "grid samples must sit strictly above the analytic band bottom"
+        )
+    schedule = ZSchedule()
+    deltas = [schedule.delta0 * schedule.ratio**i for i in range(schedule.steps)]
+    norms = [
+        bs_difference_norm(m, k, pot, geo.e_min, z, grid)
+        for z in schedule.points(geo.e_min)
+    ]
+    slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
+    return ContinuityReport(tuple(deltas), tuple(norms), slope)

@@ -26,7 +26,6 @@ from lattice_spectra import (
     verify_counting_theorem,
     verify_existence,
     verify_neraven,
-    continuity_exponent,
 )
 from lattice_spectra.sampling import (
     random_low_rank_symmetric,
@@ -37,7 +36,7 @@ from lattice_spectra.sampling import (
 )
 
 from conftest import k_pi, point_potential, scanned_band_edges, watson_integral
-from oracles import build_h
+from oracles import build_h, continuity_exponent
 
 M11 = MassPair(1.0, 1.0)
 

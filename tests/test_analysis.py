@@ -18,7 +18,6 @@ from lattice_spectra import (
     band_geometry,
     bs_check,
     bs_support_eigenvalues,
-    continuity_exponent,
     count_above,
     count_below,
     critical_coupling,
@@ -42,7 +41,7 @@ from lattice_spectra.errors import (
 )
 
 from conftest import k_pi, point_potential
-from oracles import build_bs, build_h, dense_resonance_analysis
+from oracles import build_bs, build_h, continuity_exponent, dense_resonance_analysis
 
 K0 = Quasimomentum(0, 0, 0)
 M11 = MassPair(1, 1)

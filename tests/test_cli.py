@@ -639,3 +639,70 @@ class TestRecordRefusalsNeedNoWrapping:
     def test_exit_two_with_the_records_message(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", "--suite", "counting", "--k", "0,0,0", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestCheksizRecordPerK:
+    """``verify --suite cheksiz`` runs once per k, one record each, as the
+    threshold and neraven suites do."""
+
+    PI = repr(math.pi)
+
+    def test_two_degenerate_k_give_two_records(self, capsys, point_pot_file):
+        code, out, err = run(capsys, "verify", "--suite", "cheksiz", "--potential",
+                             point_pot_file, "--grid", "6", "--k", f"{self.PI},0.4,0.2",
+                             "--k", f"0.3,-1.0,{self.PI}")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)["cheksiz"]
+        assert [rec["axis"] for rec in doc["records"]] == [0, 2]
+        assert [rec["k"][1] for rec in doc["records"]] == pytest.approx([0.4, -1.0])
+        assert all(rec["pass"] and rec["final_count"] >= rec["target"] == 1
+                   for rec in doc["records"])
+        assert doc["pass"] is True
+
+    def test_a_later_k_without_a_degenerate_direction_is_refused(self, capsys,
+                                                                 point_pot_file):
+        code, out, err = run(capsys, "verify", "--suite", "cheksiz", "--potential",
+                             point_pot_file, "--grid", "6", "--k", f"{self.PI},0.4,0.2",
+                             "--k", "0.3,-1.0,0.2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "no degenerate direction" in err
+
+
+class TestNeravenCountAtANodeOfE:
+    """ROADMAP item 2's repro through the CLI: equal masses at k = 0 on the
+    offset-0 grid, where the level -tie_tol lies within rounding of the node
+    q = 0 of E (``test_operators.TestCountAtANodeOfE``)."""
+
+    POT = ('{"sites": [{"s": [1,1,1], "v": 3.3417597302726874}, '
+           '{"s": [1,0,1], "v": 3.2380346562457074}, '
+           '{"s": [-1,1,0], "v": 1.9943965606957594}, '
+           '{"s": [-1,1,1], "v": 3.313319079764831}, '
+           '{"s": [0,1,1], "v": 5.658847758546568}, '
+           '{"s": [0,1,0], "v": 4.1289937834584425}, '
+           '{"s": [0,0,1], "v": 5.274963253642701}]}')
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the r x r inertia count returns 2, not 4, when z lies "
+        "within rounding of a node of E; the fix is a bordered count over the "
+        "near nodes"))
+    def test_neraven_lhs_is_the_spectrum_count_below_the_band(self, capsys, tmp_path):
+        path = tmp_path / "pot7.json"
+        path.write_text(self.POT)
+        args = ("--potential", str(path), "--grid", "4", "--offset", "0", "--k", "0,0,0",
+                "--tie-tol", "1e-15")
+        code, out, _ = run(capsys, "spectrum", *args)
+        assert code == 0
+        n_below = json.loads(out)["spectrum"][0]["n_below_band"]
+        code, out, _ = run(capsys, "verify", "--suite", "neraven", *args)
+        assert code in (0, 1)
+        assert json.loads(out)["neraven"]["records"][0]["lhs"] == n_below
+
+
+class TestDeeplyNestedPotentialFile:
+    def test_exit_two_without_a_traceback(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on this nesting
+        path = tmp_path / "deep.json"
+        path.write_text('{"sites": ' + "[" * 100000 + "]" * 100000 + "}")
+        proc = cli_process("critical", "--potential", str(path), "--grid", "8")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -16,10 +16,10 @@ from lattice_spectra import (
     Quasimomentum,
     RelativeMomentum,
     load_potential,
-    momentum_kernel,
-    save_potential,
 )
 from lattice_spectra.errors import EvennessError, InputError, PotentialFormatError
+
+from oracles import momentum_kernel, save_potential
 
 TWO_PI_POW = (2.0 * math.pi) ** -1.5
 
@@ -327,3 +327,18 @@ class TestPotentialValueSites:
     def test_value_reads_integer_sites(self):
         pot = Potential({(1, 0, 0): 2.0})
         assert pot.value((np.int64(-1), 0, 0)) == 2.0 and pot.value([0, 0, 0]) == 0.0
+
+
+class TestDeeplyNestedPotentialFile:
+    # json.loads raises RecursionError, not ValueError, past the recursion limit
+    DEPTH = 100000
+
+    def test_nested_arrays_refused(self):
+        nested = "[" * self.DEPTH + "]" * self.DEPTH
+        with pytest.raises(PotentialFormatError, match="nested too deeply"):
+            load_potential('{"sites": %s}' % nested)
+
+    def test_nested_objects_refused(self):
+        nested = '{"a": ' * self.DEPTH + "1" + "}" * self.DEPTH
+        with pytest.raises(PotentialFormatError, match="nested too deeply"):
+            load_potential('{"sites": %s}' % nested)

@@ -33,7 +33,7 @@ from lattice_spectra import (
     potential_spectrum,
     weyl_bracket,
 )
-from lattice_spectra import analysis, operators
+from lattice_spectra import analysis, model, operators
 from lattice_spectra.errors import (
     GridTooSmallError,
     NegativePotentialError,
@@ -43,6 +43,7 @@ from lattice_spectra.errors import (
 from lattice_spectra.sampling import random_masses, random_potential, random_quasimomentum
 from lattice_spectra.spectral import fiber_count_below_dense
 
+import oracles
 from conftest import axis_profile, k_pi, point_potential
 from oracles import (
     build_bs,
@@ -65,6 +66,14 @@ def test_dense_oracles_are_not_library_api():
     # the dense V, V^{1/2}, H and G builders are test oracles (tests/oracles.py)
     for module in (lattice_spectra, operators, analysis):
         for name in ("_convolution_matrix", "build_v", "build_vhalf", "build_h", "build_bs"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_test_only_helpers_are_not_library_api():
+    # no library, CLI or script caller runs these; they are in tests/oracles.py
+    for module in (lattice_spectra, operators, analysis, model):
+        for name in ("continuity_exponent", "ContinuityReport", "bs_difference_norm",
+                     "_difference_kernel", "momentum_kernel", "save_potential"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
@@ -379,7 +388,7 @@ class TestStreamedGram:
         z = band_geometry(m, k).e_min - 0.05
         routes = [
             lambda: bs_support_eigenvalues(m, k, pot, z, grid),
-            lambda: operators.bs_difference_norm(m, k, pot, z + 0.01, z, grid),
+            lambda: oracles.bs_difference_norm(m, k, pot, z + 0.01, z, grid),
             lambda: fiber_count_below(m, k, pot, z, grid),
             lambda: analysis.resonance_analysis(MassPair(1.0, 1.0), pot, grid),
         ]
@@ -407,7 +416,7 @@ class TestStreamedGram:
             (lambda z: bs_support_eigenvalues(m, k, pot, z, grid), low, below),
             (lambda z: fiber_count_below(m, k, pot, z, grid), low, below),
             (lambda z: fiber_count_above(m, k, pot, z, grid), high, above),
-            (lambda z: operators.bs_difference_norm(m, k, pot, z, z - 1.0, grid), low, below),
+            (lambda z: oracles.bs_difference_norm(m, k, pot, z, z - 1.0, grid), low, below),
         ]:
             with pytest.raises(ZNotBelowBandError):
                 call(edge)
@@ -445,7 +454,7 @@ class TestStreamedGram:
         pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(8)
         m, k = MassPair(1.0, 2.0), Quasimomentum(0.3, -1.1, 2.0)
         analysis.resonance_analysis(MassPair(1.0, 1.0), pot, grid)
-        analysis.continuity_exponent(m, k, pot, grid)
+        oracles.continuity_exponent(m, k, pot, grid)
         analysis.critical_coupling(m, pot, grid, refine=True)
         analysis.threshold_count(m, k, pot, grid)
         rep = analysis.verify_cheksiz(MassPair(1.0, 1.0), Quasimomentum(math.pi, 0.4, 0.2),
@@ -484,7 +493,7 @@ def fold_instances(draw):
     if draw(st.booleans()):
         kernel = operators._resolvent_kernel(z)
     else:
-        kernel = operators._difference_kernel(low - 0.005, z)
+        kernel = oracles._difference_kernel(low - 0.005, z)
     return factors, even, pot, grid, kernel
 
 
@@ -913,7 +922,7 @@ class TestNonFiniteZAndLapackFailure:
         below, above = -1.0, 13.0
         for call in [
             lambda: bs_support_eigenvalues(m, K0, pot, below, grid),
-            lambda: operators.bs_difference_norm(m, K0, pot, below, below - 1.0, grid),
+            lambda: oracles.bs_difference_norm(m, K0, pot, below, below - 1.0, grid),
             lambda: fiber_count_below(m, K0, pot, below, grid),
             lambda: fiber_count_above(m, K0, pot, above, grid),
             lambda: build_bs(m, K0, pot, below, grid),
