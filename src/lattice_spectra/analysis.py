@@ -3,7 +3,8 @@ classification, critical coupling, positivity transfer, emergence and the
 degenerate-direction lower bound.
 
 Every function here is a pure job over immutable inputs and returns a
-small report NamedTuple; nothing asserts, callers decide what a failure
+small report record (a class on a ``collections.namedtuple`` base, like
+the records of ``model``); nothing asserts, callers decide what a failure
 means (the CLI turns report flags into exit codes).
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,10 +69,10 @@ class ZSchedule(namedtuple("ZSchedule", "delta0 ratio steps")):
 # Birman-Schwinger counting
 
 
-class BSCheck(NamedTuple):
-    z: float
-    n_minus: int
-    n_plus: int
+class BSCheck(namedtuple("BSCheck", "z n_minus n_plus")):
+    """n_-(z, H(k)) and n_+(1, G(k, z)), the two sides of the Birman-Schwinger count."""
+
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -103,10 +104,10 @@ def bs_check(
     return BSCheck(z, n_minus, n_plus)
 
 
-class ThresholdCount(NamedTuple):
-    zs: tuple[float, ...]
-    counts: tuple[int, ...]
-    stabilized: Optional[int]  # None means divergent
+class ThresholdCount(namedtuple("ThresholdCount", "zs counts stabilized")):
+    """n_+(1, G(k, z)) along the schedule; ``stabilized`` None means divergent."""
+
+    __slots__ = ()
 
     @property
     def divergent(self) -> bool:
@@ -148,17 +149,19 @@ UNIT_TOL = 1e-6
 OVERLAP_TOL = 1e-6
 
 
-class UnitEigenvalue(NamedTuple):
-    value: float
-    overlap: float  # |(v^{1/2}, psi)| / (|v^{1/2}| |psi|)
+class UnitEigenvalue(namedtuple("UnitEigenvalue", "value overlap")):
+    """A unit eigenvalue and its overlap |(v^{1/2}, psi)| / (|v^{1/2}| |psi|)."""
+
+    __slots__ = ()
 
 
-class ThresholdReport(NamedTuple):
-    lambda_max: float
-    unit_eigenvalues: tuple[UnitEigenvalue, ...]
-    classification: str  # none | resonance | zero_eigenvalue | resonance_plus_zero_eigenvalue
-    multiplicity: int  # zero eigenvalues: dim of the unit eigenspace, less one with a resonance
-    ambiguous: bool
+class ThresholdReport(namedtuple("ThresholdReport", "lambda_max unit_eigenvalues classification "
+                                   "multiplicity ambiguous")):
+    """``classification`` is none, resonance, zero_eigenvalue or
+    resonance_plus_zero_eigenvalue; ``multiplicity`` counts the zero eigenvalues:
+    the dimension of the unit eigenspace, less one with a resonance."""
+
+    __slots__ = ()
 
     @property
     def has_resonance(self) -> bool:
@@ -249,10 +252,10 @@ def resonance_analysis(
 # Critical coupling
 
 
-class CriticalCoupling(NamedTuple):
-    lambda_star: float
-    richardson: Optional[float]
-    grid_sizes: tuple[int, ...]
+class CriticalCoupling(namedtuple("CriticalCoupling", "lambda_star richardson grid_sizes")):
+    """``richardson`` extrapolates from the grid sizes N and 2N; None without refine."""
+
+    __slots__ = ()
 
 
 def critical_coupling(
@@ -295,16 +298,16 @@ def critical_coupling(
 # Positivity transfer
 
 
-class PositivityAtK(NamedTuple):
-    k: tuple[float, float, float]
-    min_eigenvalue: float
-    ok: bool
+class PositivityAtK(namedtuple("PositivityAtK", "k min_eigenvalue ok")):
+    """The lowest eigenvalue of H(k), and whether it is >= -pos_tol."""
+
+    __slots__ = ()
 
 
-class PositivityReport(NamedTuple):
-    pos_tol: float
-    min_eig_h0: float
-    per_k: tuple[PositivityAtK, ...]
+class PositivityReport(namedtuple("PositivityReport", "pos_tol min_eig_h0 per_k")):
+    """Positivity transfer from H(0) to each listed k."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -339,19 +342,16 @@ def positivity_check(
 # Eigenvalue emergence below the band
 
 
-class EmergenceAtK(NamedTuple):
-    k: tuple[float, float, float]
-    e_min: float
-    count: int
-    below_band: tuple[float, ...]
-    count_ok: bool
-    nonneg_ok: bool
+class EmergenceAtK(namedtuple("EmergenceAtK", "k e_min count below_band count_ok nonneg_ok")):
+    """The below-band eigenvalues of H(k), their count and their signs checked."""
+
+    __slots__ = ()
 
 
-class ExistenceReport(NamedTuple):
-    threshold: ThresholdReport
-    required: int
-    per_k: tuple[EmergenceAtK, ...]
+class ExistenceReport(namedtuple("ExistenceReport", "threshold required per_k")):
+    """The threshold state of H(0), the below-band count it requires, each k."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -416,24 +416,18 @@ def verify_existence(
 # Band-width estimate
 
 
-class ScalarCaseCheck(NamedTuple):
-    level: float
-    n_below_h: int
-    n_above_v_zero: int
-    n_above_h: int
-    n_below_v_zero: int
-    equalities_hold: bool
+class ScalarCaseCheck(namedtuple("ScalarCaseCheck", "level n_below_h n_above_v_zero n_above_h "
+                                   "n_below_v_zero equalities_hold")):
+    """The exact integer equalities on the flat band against its 6/m level."""
+
+    __slots__ = ()
 
 
-class NeravenReport(NamedTuple):
-    w_b: float
-    lhs: int
-    rhs: int
-    holds: bool
-    corollary_lhs: int
-    corollary_rhs: int
-    corollary_holds: bool
-    scalar_case: Optional[ScalarCaseCheck]
+class NeravenReport(namedtuple("NeravenReport", "w_b lhs rhs holds corollary_lhs corollary_rhs "
+                                 "corollary_holds scalar_case")):
+    """The band-width estimate and its corollary; ``scalar_case`` is None off the flat band."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -519,15 +513,11 @@ def verify_neraven(
 # Degenerate-direction lower bound
 
 
-class CheksizReport(NamedTuple):
-    axis: int  # 0-based degenerate direction used
-    target: int
-    zs: tuple[float, ...]
-    counts: tuple[int, ...]
-    final_count: int
-    monotone: bool
-    w_jb_axis: float
-    h0_constant_along_axis: bool
+class CheksizReport(namedtuple("CheksizReport", "axis target zs counts final_count monotone "
+                                 "w_jb_axis h0_constant_along_axis")):
+    """Counts along the z-schedule against the target of the 0-based degenerate ``axis``."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -554,7 +544,8 @@ def verify_cheksiz(
     """
     degen = degenerate_directions(m, k)
     if not degen:
-        raise PreconditionError("no degenerate direction at this (m, k)")
+        shown = ", ".join(f"{c:.12g}" for c in k.components)
+        raise PreconditionError(f"no degenerate direction at k = ({shown}) for masses {tuple(m)}")
     j = min(degen)
     target = sum(
         1

@@ -128,7 +128,7 @@ def _require_k(cfg: argparse.Namespace) -> list[Quasimomentum]:
 
 
 def _jsonable(obj):
-    # a report record is a NamedTuple: a dict of its fields, not a list
+    # every record is on a collections.namedtuple base: a dict of its fields, not a list
     if hasattr(obj, "_asdict"):
         return {name: _jsonable(value) for name, value in obj._asdict().items()}
     if isinstance(obj, np.ndarray):

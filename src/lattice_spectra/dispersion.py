@@ -7,7 +7,7 @@ so band edges and widths come in closed form; no grid scans anywhere.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,18 +40,12 @@ def dispersion_on_grid(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> np.
     )
 
 
-class BandGeometry(NamedTuple):
-    """Per-axis cosine representation of the dispersion and its band."""
+class BandGeometry(namedtuple("BandGeometry", "center a b r phase e_min e_max w_b w_jb")):
+    """Per-axis cosine representation of the dispersion and its band:
+    E(q) = center - sum_j r_j cos(q_j - phase_j) = center - sum_j (a_j cos
+    q_j + b_j sin q_j), with band [e_min, e_max] of width w_b = sum_j w_jb."""
 
-    center: float
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
-    r: tuple[float, float, float]
-    phase: tuple[float, float, float]
-    e_min: float
-    e_max: float
-    w_b: float
-    w_jb: tuple[float, float, float]
+    __slots__ = ()
 
     def evaluate(self, q: TorusVector) -> float:
         """Dispersion via the separable form (cross-check of the two closed forms)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import namedtuple
 from types import MappingProxyType
 from typing import IO, Mapping, Union
@@ -108,13 +109,23 @@ def _real(x, name: str, error: type[InputError] = InputError) -> float:
                     f"({x.bit_length()} bits)") from None
 
 
+ECHO_CHARS = 80  # longest echo of an input value in an error message
+
+
+def _echo(x) -> str:
+    """repr(x) shortened by ``reprlib``, which also bounds the nesting it
+    descends, and cut to ECHO_CHARS: a value read from a file can be any size."""
+    text = reprlib.repr(x)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+
+
 def _site(s) -> Site:
     """The one gate for sites: a tuple, or a JSON list, of three Python or
     numpy integers, not bools.  A coordinate is never rounded: 1.5 is
     refused, not read as 1."""
     if not (isinstance(s, (tuple, list)) and len(s) == 3 and all(
             isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in s)):
-        raise PotentialFormatError(f"site must be a triple of integers, got {s!r}")
+        raise PotentialFormatError(f"site must be a triple of integers, got {_echo(s)}")
     return (int(s[0]), int(s[1]), int(s[2]))
 
 
@@ -206,7 +217,7 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
             s = item["s"]
             v = item["v"]
         except (TypeError, KeyError) as exc:
-            raise PotentialFormatError(f"bad site record {item!r}") from exc
+            raise PotentialFormatError(f"bad site record {_echo(item)}") from exc
         site = _site(s)
         if site in raw:
             raise PotentialFormatError(f"duplicate site {site}")

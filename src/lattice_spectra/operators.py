@@ -80,7 +80,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Iterator, NamedTuple, Optional
+from collections import namedtuple
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -95,12 +96,11 @@ from .errors import (
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum
 
 
-class GridOperator(NamedTuple):
-    """Dense real symmetric matrix on the momentum grid, tagged by kind."""
+class GridOperator(namedtuple("GridOperator", "matrix grid kind")):
+    """Dense real symmetric matrix on the momentum grid, tagged by kind:
+    H0 in the library; the test oracles also build V, H, Vhalf and BS."""
 
-    matrix: np.ndarray
-    grid: MomentumGrid
-    kind: str  # H0 in the library; the test oracles also build V, H, Vhalf and BS
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -533,7 +533,10 @@ def _support_gram(
         if w3 is None:
             part = part[:, :w] + 1j * part[:, w:]
         part = part.reshape(-1, n2, w)
-        green += np.einsum("abw,bv,au->uvw", part, p2, p1[lo : lo + planes], optimize=True)
+        # sum_ab p1[a, u] part[a, b, w] p2[b, v]: one matmul over b, then one over a
+        vaw = p2.T @ part.transpose(1, 0, 2).reshape(n2, -1)
+        vwa = vaw.reshape(len(u2), -1, w).transpose(0, 2, 1).reshape(-1, len(part))
+        green += (vwa @ p1[lo : lo + planes]).reshape(len(u2), w, -1).transpose(2, 0, 1)
     green /= grid.dim
     gram = green[
         np.searchsorted(u1, diff[..., 0]),

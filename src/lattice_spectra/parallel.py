@@ -12,8 +12,10 @@ longer take effect.
 
 Worker count is set by the LATTICE_SPECTRA_THREADS environment variable
 (absent means one worker per core) and never exceeds the core count or
-the number of items.  The workers are plain threads that take the next
-item index from a shared counter, so no executor module is loaded.
+the number of items.  The cores are those the process may run on (its
+affinity set, where the OS reports one), not every core of the machine.
+The workers are plain threads that take the next item index from a
+shared counter, so no executor module is loaded.
 Results are assembled by input index, so parallelism is invisible in any
 output.
 """
@@ -45,7 +47,10 @@ _one_blas_thread()
 
 
 def worker_count() -> int:
-    cores = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cores = os.cpu_count() or 1
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return cores

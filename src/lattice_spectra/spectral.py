@@ -15,7 +15,8 @@ finiteness only (``_check_finite``).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from collections import namedtuple
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -188,21 +189,12 @@ def count_above(
     return _count(arr > mu + tie_tol, multiplicity)
 
 
-class CountingCheck(NamedTuple):
+class CountingCheck(namedtuple("CountingCheck", "m_a big_m_a width lhs rhs holds mirrored_lhs "
+                                 "mirrored_rhs mirrored_holds corollary_lhs corollary_rhs "
+                                 "corollary_holds")):
     """Width-theorem check n_-(m(A), A-V) >= n_+(w_s(A), V) and companions."""
 
-    m_a: float
-    big_m_a: float
-    width: float
-    lhs: int
-    rhs: int
-    holds: bool
-    mirrored_lhs: int
-    mirrored_rhs: int
-    mirrored_holds: bool
-    corollary_lhs: int
-    corollary_rhs: int
-    corollary_holds: bool
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:

@@ -14,7 +14,7 @@ import pytest
 import numpy as np
 
 import lattice_spectra
-from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, operators
+from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, model, operators
 from lattice_spectra.cli import COMMANDS, _build_parser, _jsonable, main
 from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
@@ -667,6 +667,13 @@ class TestCheksizRecordPerK:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "no degenerate direction" in err
 
+    def test_the_refused_k_is_named(self, capsys, point_pot_file):
+        code, out, err = run(capsys, "verify", "--suite", "cheksiz", "--potential",
+                             point_pot_file, "--grid", "6", f"--k={self.PI},0.4,0.2",
+                             "--k=0.1,0.2,0.3")
+        assert (code, out) == (2, "")
+        assert "k = (0.1, 0.2, 0.3)" in err and "0.4" not in err
+
 
 class TestNeravenCountAtANodeOfE:
     """ROADMAP item 2's repro through the CLI: equal masses at k = 0 on the
@@ -706,3 +713,16 @@ class TestDeeplyNestedPotentialFile:
         proc = cli_process("critical", "--potential", str(path), "--grid", "8")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"sites": [{"s": ' + "[" * 980 + "]" * 980 + ', "v": 1.0}]}',
+         "site must be a triple of integers, got "),
+        ('{"sites": [' + "[" * 980 + "]" * 980 + "]}", "bad site record "),
+    ], ids=["site", "record"])
+    def test_the_echoed_value_is_cut(self, tmp_path, doc, message):
+        path = tmp_path / "site.json"
+        path.write_text(doc)
+        proc = cli_process("critical", "--potential", str(path), "--grid", "8")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr) <= len(f"error: {message}\n") + model.ECHO_CHARS

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import lattice_spectra
 from lattice_spectra.errors import InputError
-from lattice_spectra.parallel import BLAS_VARS, ENV_VAR, worker_count
+from lattice_spectra.parallel import BLAS_VARS, ENV_VAR, parallel_map, worker_count
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lattice_spectra.__file__)))
 
@@ -59,6 +60,25 @@ def test_env_value_capped_at_core_count(monkeypatch):
 def test_env_value_below_core_count_kept(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
     assert worker_count() == 1
+
+
+def test_cores_are_the_affinity_set(monkeypatch):
+    # a process pinned to one core of a larger machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert worker_count() == 1
+    assert parallel_map(lambda x: threading.current_thread(), range(3)) == [
+        threading.main_thread()] * 3
+    monkeypatch.setenv(ENV_VAR, "4")
+    assert worker_count() == 1
+
+
+def test_cores_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert worker_count() == 3
 
 
 @pytest.mark.parametrize("raw", ["two", "1.5", "", "0", "-3"])

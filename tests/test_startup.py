@@ -48,6 +48,29 @@ def test_records_are_named_tuples():
         MomentumGrid(1)
 
 
+def test_every_record_is_a_slotted_namedtuple_subclass():
+    # the one form of a record: class X(namedtuple("X", ...)) with
+    # __slots__ = () on X and its subclasses, so an instance has no __dict__
+    # (the package's name dispersion is the function, so modules come from
+    # sys.modules)
+    records = {
+        obj for name in ("analysis", "dispersion", "model", "operators", "spectral")
+        for obj in vars(sys.modules[f"lattice_spectra.{name}"]).values()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+        and obj.__module__ == f"lattice_spectra.{name}"
+    }
+    exported = {obj for obj in vars(lattice_spectra).values()
+                if isinstance(obj, type) and issubclass(obj, tuple)}
+    assert exported <= records
+    assert {"BandGeometry", "CheksizReport", "CountingCheck", "GridOperator",
+            "MassPair", "Quasimomentum", "UnitEigenvalue"} <= {c.__name__ for c in records}
+    for cls in records:
+        generated = cls.__mro__[cls.__mro__.index(tuple) - 1]
+        assert generated is not cls and generated._fields == cls._fields, cls
+        for klass in cls.__mro__[: cls.__mro__.index(generated)]:
+            assert vars(klass).get("__slots__") == (), klass
+
+
 def test_main_leaves_the_collector_alone(capsys):
     before = gc.get_freeze_count()
     assert cli.main(["band", "--k", "0,0,0"]) == 0
