@@ -22,7 +22,6 @@ from lattice_spectra import (  # isort: skip
     band_geometry,
     critical_coupling,
     fiber_eigenvalues,
-    fiber_potential,
 )
 
 import numpy as np  # noqa: E402
@@ -37,13 +36,13 @@ def main() -> None:
     m = MassPair(1.0, 1.0)
     grid = MomentumGrid(args.grid)
     lam = critical_coupling(m, Potential({(0, 0, 0): 1.0}), grid).lambda_star
-    v = fiber_potential(Potential({(0, 0, 0): lam}), grid)
+    pot = Potential({(0, 0, 0): lam})
     print(f"critical coupling on N={args.grid}: lambda* = {lam:.10f}")
     print(f"{'t/pi':>8} {'e_min':>12} {'lowest eig':>14} {'binding gap':>14}")
     for t in np.linspace(0.0, math.pi, args.points):
         k = Quasimomentum(t, t, t)
         e_min = band_geometry(m, k).e_min
-        lowest = float(fiber_eigenvalues(m, k, v)[0])
+        lowest = float(fiber_eigenvalues(m, k, pot, grid)[0])
         print(f"{t / math.pi:>8.3f} {e_min:>12.6f} {lowest:>14.8f} {e_min - lowest:>14.3e}")
 
 

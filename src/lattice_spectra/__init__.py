@@ -45,13 +45,11 @@ from .model import (
     load_potential,
 )
 from .operators import (
-    FiberPotential,
     GridOperator,
     bs_support_eigenvalues,
     build_h0,
     fiber_count_above,
     fiber_count_below,
-    fiber_potential,
     potential_spectrum,
     weyl_bracket,
 )

@@ -28,7 +28,6 @@ from .operators import (
     bs_support_eigenvalues,
     fiber_count_above,
     fiber_count_below,
-    fiber_potential,
     potential_spectrum,
     weyl_bracket,
 )
@@ -98,7 +97,7 @@ def bs_check(
     (``bs_support_eigenvalues``), which also set its default tie band.
     """
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
-    n_minus = fiber_count_below_dense(m, k, fiber_potential(pot, grid), z - tol)
+    n_minus = fiber_count_below_dense(m, k, pot, z - tol, grid)
     eigs_g = bs_support_eigenvalues(m, k, pot, z, grid)
     n_plus = count_above(1.0, eigs_g, default_tie_tol(eigs_g) if tie_tol is None else tie_tol)
     return BSCheck(z, n_minus, n_plus)
@@ -324,8 +323,7 @@ def positivity_check(
     """Check that positivity of H(0) transfers to H(k) for each listed k."""
     if not m.equal_masses():
         raise PreconditionError("positivity transfer requires equal masses")
-    v = fiber_potential(pot, grid)
-    eigs0 = fiber_eigenvalues(m, ZERO_K, v)
+    eigs0 = fiber_eigenvalues(m, ZERO_K, pot, grid)
     tol = 1e-8 * max(1.0, float(np.abs(eigs0).max())) if pos_tol is None else pos_tol
     if eigs0[0] < -tol:
         raise PreconditionError(
@@ -333,7 +331,7 @@ def positivity_check(
         )
     per_k = []
     for k in k_list:
-        lo = float(fiber_eigenvalues(m, k, v)[0])
+        lo = float(fiber_eigenvalues(m, k, pot, grid)[0])
         per_k.append(PositivityAtK(k.components, lo, lo >= -tol))
     return PositivityReport(tol, float(eigs0[0]), tuple(per_k))
 
@@ -391,11 +389,10 @@ def verify_existence(
             "no threshold state at k = 0; emergence has no lower bound to verify"
         )
     required = threshold.multiplicity + (1 if threshold.has_resonance else 0)
-    v = fiber_potential(pot, grid)
     per_k = []
     for k in k_list:
         geo = band_geometry(m, k)
-        eigs = fiber_eigenvalues(m, k, v)
+        eigs = fiber_eigenvalues(m, k, pot, grid)
         tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
         ptol = 1e-8 * max(1.0, float(np.abs(eigs).max())) if pos_tol is None else pos_tol
         below = tuple(float(x) for x in eigs[eigs < geo.e_min - tol])

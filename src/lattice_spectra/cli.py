@@ -27,7 +27,6 @@ from .model import (
     Quasimomentum,
     load_potential,
 )
-from .operators import fiber_potential
 from .parallel import parallel_map
 from .spectral import (
     count_above,
@@ -175,13 +174,11 @@ def cmd_band(cfg: argparse.Namespace) -> int:
 
 def _spectrum_records(cfg: argparse.Namespace) -> list[dict]:
     """Eigenvalues and band counts per k, the k-points in the pool."""
-    v = fiber_potential(cfg.potential, cfg.grid)
-
     def record(k: Quasimomentum) -> dict:
         # a worker thread does not inherit main's errstate
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             geo = band_geometry(cfg.masses, k)
-            eigs = fiber_eigenvalues(cfg.masses, k, v)
+            eigs = fiber_eigenvalues(cfg.masses, k, cfg.potential, cfg.grid)
             tol = cfg.tie_tol if cfg.tie_tol is not None else default_tie_tol(eigs)
             return {
                 "k": list(k.components),

@@ -114,8 +114,12 @@ ECHO_CHARS = 80  # longest echo of an input value in an error message
 
 def _echo(x) -> str:
     """repr(x) shortened by ``reprlib``, which also bounds the nesting it
-    descends, and cut to ECHO_CHARS: a value read from a file can be any size."""
-    text = reprlib.repr(x)
+    descends, and cut to ECHO_CHARS: a value read from a file can be any size.
+    An int of more digits than ``repr`` converts is echoed as a placeholder."""
+    try:
+        text = reprlib.repr(x)
+    except ValueError:
+        return "<a value too large to print>"
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
 
 

@@ -44,24 +44,25 @@ for these users:
 the default tie band of those counts.
 
 Library eigensolves of H(k), which list every eigenvalue and stay dense,
-go through ``fiber_potential``: V does not depend on k, so its N^3 x r
-plane-wave factor, V = C diag(w) C^T + S diag(w') S^T with cosine and
-sine columns C and S, is built once per (potential, grid) and shared
-read-only across k and worker threads; the N^3 x N^3 V is not formed.
+go through ``fiber_blocks``, with the same arguments (m, k, pot, grid) as
+every other question about H(k).  V enters as its N^3 x r plane-wave
+factor, V = C diag(w) C^T + S diag(w') S^T with cosine and sine columns
+C and S (``_plane_wave_factor``), built by each call at a small fraction
+of the cost of its solve; the N^3 x N^3 V is not formed.
 The potential is even, so V commutes with the parity q -> -q.  When every
 axis factor is even, so is E, and H(k) is handed to the eigensolver as
 its even and odd blocks of about N^3 / 2 each (a quarter of the dense
 work), else as one N^3 x N^3 block; C is even and S odd, so each block
 is its diagonal minus one rank-r product of rows of C, of S or of both.
-``FiberPotential._parts`` decides the blocks, their memory guard and the
-tolerance of their levels, once per k.
+``_fiber_parts`` decides the blocks, their memory guard and the
+tolerance of their levels.
 
 The diagonal of a block is often very degenerate: equal masses on the
 zone diagonal (E is symmetric in the three axes) or a direction with
 k_j = pi (E does not depend on q_j) leave levels of many nodes with the
 same E.  On a level of m nodes the block is e I minus a matrix of rank at
 most the block's rank r_b, so m - r_b of its eigenvalues equal e exactly.
-``FiberPotential.deflated_blocks`` splits those off before the solve
+``fiber_blocks`` splits those off before the solve
 (``_deflate``, the deflation step of Bunch, Nielsen & Sorensen 1978).
 Levels are runs of sorted samples within the evenness tolerance, and by
 Weyl placing a run at its mean moves no eigenvalue by more than its
@@ -189,100 +190,64 @@ def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
     ).ravel()
 
 
-class FiberPotential:
-    """V of H(k) = H0(k) - V for one (potential, grid), as its rank-r factor.
+def _fiber_parts(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+    """(diagonal, factor rows, weights) of each diagonal block of H(k),
+    and the tolerance of the evenness test, which also bounds a level.
 
-    Built by ``fiber_potential``; every array is read-only.  With one
-    representative s of each pair of sites +-s (the origin first), c_s(q) =
-    cos(q.s) / N^{3/2} and s_s(q) = sin(q.s) / N^{3/2} over the nodes,
-    ``factor`` is the N^3 x r matrix [C | S] and ``weights`` holds
-    (w, w'), w = v(0) at the origin and 2 v(s) at the other pairs, w' the
-    same without the origin, so V = C diag(w) C^T + S diag(w') S^T.  The
-    first ``n_cos`` columns are C.
-
-    When the grid is closed under parity, ``mirror`` maps each node to the
-    node of -q, the even block acts on e_q at the fixed nodes (listed last
-    in ``even_nodes``) and (e_q + e_-q)/sqrt(2) at one representative q of
-    each pair, and the odd block on (e_q - e_-q)/sqrt(2) at the pair
-    representatives ``odd_nodes``.  C is even in q and S odd, so the even
-    block of V is built from ``even_factor``, the rows of C at
-    ``even_nodes`` (times sqrt(2) at the pairs), and the odd block from
-    ``odd_factor``, the rows of S at ``odd_nodes`` times sqrt(2).  They
-    serve every k at which each axis factor of E is even (``_parts``); on
-    other grids they are None.  Two instances compare equal only when they
-    are the same object.
+    The diagonal samples E as the Gram does, (e_1 + e_2) + e_3.  V is
+    C diag(w) C^T + S diag(w') S^T (``_plane_wave_factor``).  When every
+    axis factor is even (``_even_factor``), each factor is replaced by its
+    pair means and H(k) splits in two parity blocks.  The even block acts
+    on e_q at the fixed nodes q = -q (listed last) and (e_q + e_-q)/sqrt(2)
+    at one representative q of each pair, the odd block on
+    (e_q - e_-q)/sqrt(2) at the pair representatives.  C is even in q and
+    S odd, so the even block takes the rows of C at its nodes (times
+    sqrt(2) at the pairs) and the odd block the rows of S at its nodes
+    times sqrt(2).  Otherwise the one block is the full matrix.  A block
+    is its diagonal minus f diag(w) f^T, and is refused here when its rows
+    do not fit in memory.
     """
+    _require_grid_fits(pot, grid)
+    factors = _axis_factors(m, k, grid)
+    tol = PARITY_TOL * max(1.0, _sampled_band(factors)[1])
+    axis = _axis_mirror(grid)
+    even = [_even_factor(ej, axis, tol) for ej in factors]
+    split = all(ej is not None for ej in even)
+    e1, e2, e3 = even if split else factors
+    e = ((e1[:, None, None] + e2[:, None]) + e3).ravel()
+    factor, weights, n_cos = _plane_wave_factor(pot, grid)
+    parts = [(e, factor, weights)]
+    if split:
+        nodes, mirror = np.arange(grid.dim), _parity_map(grid)
+        pairs = nodes[nodes < mirror]
+        even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+        scale = np.where(np.arange(len(even_nodes)) < len(pairs), math.sqrt(2.0), 1.0)
+        parts = [
+            (e[even_nodes], factor[even_nodes, :n_cos] * scale[:, None], weights[:n_cos]),
+            (e[pairs], factor[pairs, n_cos:] * math.sqrt(2.0), weights[n_cos:]),
+        ]
+    for diag, _, _ in parts:
+        _require_dense_fits(len(diag), grid)
+    return parts, tol
 
-    __slots__ = ("potential", "grid", "factor", "weights", "n_cos",
-                 "mirror", "even_nodes", "odd_nodes", "even_factor", "odd_factor")
 
-    def __init__(
-        self,
-        potential: Potential,
-        grid: MomentumGrid,
-        factor: np.ndarray,
-        weights: np.ndarray,
-        n_cos: int,
-        mirror: Optional[np.ndarray] = None,
-        even_nodes: Optional[np.ndarray] = None,
-        odd_nodes: Optional[np.ndarray] = None,
-        even_factor: Optional[np.ndarray] = None,
-        odd_factor: Optional[np.ndarray] = None,
-    ) -> None:
-        self.potential, self.grid, self.factor, self.weights, self.n_cos = (
-            potential, grid, factor, weights, n_cos)
-        self.mirror, self.even_nodes, self.odd_nodes = mirror, even_nodes, odd_nodes
-        self.even_factor, self.odd_factor = even_factor, odd_factor
+def fiber_blocks(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each diagonal block of H(k) (``_fiber_parts``) with its degenerate
+    levels deflated (``_deflate``), as the reduced block and the eigenvalues
+    split off from it; together their spectra make up that of H(k).
 
-    def _parts(
-        self, m: MassPair, k: Quasimomentum
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
-        """(diagonal, factor rows, weights) of each diagonal block of H(k),
-        and the tolerance of the evenness test, which also bounds a level.
-
-        The diagonal samples E as the Gram does, (e_1 + e_2) + e_3.  Two
-        parity blocks when every axis factor is even (``_even_factor``),
-        each factor then replaced by its pair means, else the full matrix.
-        A block is its diagonal minus f diag(w) f^T, and is refused here
-        when its rows do not fit in memory.
-        """
-        factors = _axis_factors(m, k, self.grid)
-        tol = PARITY_TOL * max(1.0, _sampled_band(factors)[1])
-        axis = None if self.mirror is None else _axis_mirror(self.grid)
-        even = [_even_factor(ej, axis, tol) for ej in factors]
-        split = all(ej is not None for ej in even)
-        e1, e2, e3 = even if split else factors
-        e = ((e1[:, None, None] + e2[:, None]) + e3).ravel()
-        parts = [(e, self.factor, self.weights)]
-        if split:
-            parts = [
-                (e[self.even_nodes], self.even_factor, self.weights[: self.n_cos]),
-                (e[self.odd_nodes], self.odd_factor, self.weights[self.n_cos :]),
-            ]
-        for diag, _, _ in parts:
-            _require_dense_fits(len(diag), self.grid)
-        return parts, tol
-
-    def blocks(self, m: MassPair, k: Quasimomentum) -> Iterator[np.ndarray]:
-        """H(k) as the diagonal blocks whose spectra together make up its own
-        (see ``_parts``), each built when the iteration reaches it."""
-        for diag, f, w in self._parts(m, k)[0]:
-            yield _block(diag, f, w)
-
-    def deflated_blocks(
-        self, m: MassPair, k: Quasimomentum
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each block of H(k) with its degenerate levels deflated (``_deflate``),
-        as the reduced block and the eigenvalues split off from it.
-
-        Levels are runs of diagonal samples within the tolerance of
-        ``_parts``, whose memory guard counts the rows of the whole block:
-        deflation changes the cost of a solve, not which grids are accepted.
-        """
-        parts, tol = self._parts(m, k)
-        for diag, f, w in parts:
-            diag, f, copies = _deflate(diag, f, tol)
-            yield _block(diag, f, w), copies
+    Levels are runs of diagonal samples within the tolerance of
+    ``_fiber_parts``, whose memory guard counts the rows of the whole block:
+    deflation changes the cost of a solve, not which grids are accepted.
+    """
+    parts, tol = _fiber_parts(m, k, pot, grid)
+    for diag, f, w in parts:
+        diag, f, copies = _deflate(diag, f, tol)
+        yield _block(diag, f, w), copies
 
 
 def _block(diag: np.ndarray, f: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -355,7 +320,14 @@ def _deflate(
 
 
 def _plane_wave_factor(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """[C | S], (w, w') and the number of columns of C (see ``FiberPotential``)."""
+    """[C | S], (w, w') and the number of columns of C, so that
+    V = C diag(w) C^T + S diag(w') S^T on the grid.
+
+    With one representative s of each pair of sites +-s (the origin
+    first), c_s(q) = cos(q.s) / N^{3/2} and s_s(q) = sin(q.s) / N^{3/2}
+    over the nodes; w = v(0) at the origin and 2 v(s) at the other pairs,
+    w' the same without the origin.  N^3 x r; nothing N^3 x N^3 is built.
+    """
     origin = (0, 0, 0)
     pairs = [s for s in pot.sorted_sites() if s > origin]
     ang = grid.nodes() @ np.array(pairs, dtype=float).reshape(-1, 3).T
@@ -366,27 +338,6 @@ def _plane_wave_factor(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, 
         w_cos.insert(0, pot.entries[origin])
     factor = np.hstack([*cos, np.sin(ang)]) / math.sqrt(grid.dim)
     return factor, np.array(w_cos + w_sin), len(w_cos)
-
-
-def fiber_potential(pot: Potential, grid: MomentumGrid) -> FiberPotential:
-    """Build the plane-wave factor of V once (see ``FiberPotential``), with
-    the parity node lists and factor rows when the grid is closed under
-    parity.  Nothing of size N^3 x N^3 is built."""
-    _require_grid_fits(pot, grid)
-    factor, weights, n_cos = _plane_wave_factor(pot, grid)
-    mirror = _parity_map(grid)
-    parity = ()
-    if mirror is not None:
-        nodes = np.arange(grid.dim)
-        pairs = nodes[nodes < mirror]
-        even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
-        scale = np.where(np.arange(len(even_nodes)) < len(pairs), math.sqrt(2.0), 1.0)
-        even_factor = factor[even_nodes, :n_cos] * scale[:, None]
-        odd_factor = factor[pairs, n_cos:] * math.sqrt(2.0)
-        parity = (mirror, even_nodes, pairs, even_factor, odd_factor)
-    for a in (factor, weights, *parity):
-        a.setflags(write=False)
-    return FiberPotential(pot, grid, factor, weights, n_cos, *parity)
 
 
 # Relative floor below which a Birman-Schwinger eigenvalue fails the

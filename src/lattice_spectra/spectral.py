@@ -4,13 +4,14 @@ Counting is strict-inequality counting with an explicit tie band: finite
 arithmetic cannot distinguish an eigenvalue sitting exactly at a reference
 level from one a rounding error away.
 
-The dense blocks of H(k) are solved in full by ``fiber_eigenvalues``, and
-counted below a level by ``fiber_count_below_dense``, which needs a
-spectrum only where a Cholesky factor does not prove the count zero
-(Sylvester's law of inertia).  A matrix from a caller is checked square,
-finite and symmetric before it is solved (``_check_symmetric``); the
-count checks the blocks, which the library builds symmetric, for
-finiteness only (``_check_finite``).
+The dense blocks of H(k) (``operators.fiber_blocks``) are solved in full
+by ``fiber_eigenvalues``, and counted below a level by
+``fiber_count_below_dense``, which needs a spectrum only where a Cholesky
+factor does not prove the count zero (Sylvester's law of inertia).  Both
+take (m, k, pot, grid) as every other question about H(k) does.  A matrix
+from a caller is checked square, finite and symmetric before it is solved
+(``_check_symmetric``); the blocks, which the library builds symmetric,
+are checked for finiteness only (``_check_finite``).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError, NonSymmetricError, NumericalFailure
-from .model import MassPair, Quasimomentum
-from .operators import FiberPotential, GridOperator, _eigvalsh
+from .model import MassPair, MomentumGrid, Potential, Quasimomentum
+from .operators import GridOperator, _eigvalsh, fiber_blocks
 
 MatrixLike = Union[GridOperator, np.ndarray]
 
@@ -66,21 +67,25 @@ def eig_sym(op: MatrixLike) -> np.ndarray:
     return _eigvalsh(a)
 
 
-def fiber_eigenvalues(m: MassPair, k: Quasimomentum, fiber: FiberPotential) -> np.ndarray:
-    """Ascending eigenvalues of H(k) = H0(k) - V, V from ``fiber_potential``.
+def fiber_eigenvalues(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> np.ndarray:
+    """Ascending eigenvalues of H(k) = H0(k) - V on the grid.
 
-    Solves the parity blocks of H(k) separately when it has them (see
-    ``FiberPotential.blocks``) and merges their spectra.  Each block is
-    deflated first (``FiberPotential.deflated_blocks``): V has rank r, so
-    on a level of the dispersion with m > r nodes, m - r eigenvalues equal
-    the level and only r rows of it are left to solve.  Equal masses on
-    the zone diagonal, or a direction with k_j = pi, make most levels that
-    large; a generic k leaves the block as it is.  One ``eig_sym`` per
-    block either way.
+    Solves the parity blocks of H(k) separately when it has them and
+    merges their spectra.  Each block is deflated first
+    (``operators.fiber_blocks``): V has rank r, so on a level of the
+    dispersion with m > r nodes, m - r eigenvalues equal the level and
+    only r rows of it are left to solve.  Equal masses on the zone
+    diagonal, or a direction with k_j = pi, make most levels that large;
+    a generic k leaves the block as it is.  One eigensolve per block
+    either way, after a finiteness check (``_check_finite``; an E or a
+    weight 2v that overflows makes a block non-finite).
     """
     spectra = []
-    for h, copies in fiber.deflated_blocks(m, k):
-        spectra += [eig_sym(h), copies]
+    for h, copies in fiber_blocks(m, k, pot, grid):
+        _check_finite(h)
+        spectra += [_eigvalsh(h), copies]
     return np.sort(np.concatenate(spectra))
 
 
@@ -125,20 +130,19 @@ def _positive_definite(h: np.ndarray) -> bool:
 
 
 def fiber_count_below_dense(
-    m: MassPair, k: Quasimomentum, fiber: FiberPotential, level: float
+    m: MassPair, k: Quasimomentum, pot: Potential, level: float, grid: MomentumGrid
 ) -> int:
     """#{eigenvalues of H(k) < level}, from the blocks that
     ``fiber_eigenvalues`` solves, without their spectra where it can.
 
-    Per deflated block (``FiberPotential.deflated_blocks``) the count is
+    Per deflated block (``operators.fiber_blocks``) the count is
     the split-off copies below level plus, by Sylvester's law of inertia,
     the negative eigenvalues of the block shifted by level.  Those are 0
     when the shifted block has a Cholesky factor (``_positive_definite``,
     about a third of the work of its spectrum); otherwise the untouched
-    shifted block is solved and they are counted.  The blocks are built
-    symmetric, so each is checked for finiteness only (``_check_finite``;
-    an E or a weight 2v that overflows makes one non-finite), and a LAPACK
-    failure of the solve raises NumericalFailure.
+    shifted block is solved and they are counted.  Each block is checked
+    for finiteness only, as in ``fiber_eigenvalues``, and a LAPACK failure
+    of the solve raises NumericalFailure.
 
     Memory: beside a block of n rows the certificate holds about three
     quarters of n x n at once, in arrays of at most ceil(n/2) rows and
@@ -147,7 +151,7 @@ def fiber_count_below_dense(
     ``np.linalg.cholesky`` of the block, whose factor is n x n, would.
     """
     count = 0
-    for h, copies in fiber.deflated_blocks(m, k):
+    for h, copies in fiber_blocks(m, k, pot, grid):
         count += int(np.count_nonzero(copies < level))
         _check_finite(h)
         h[np.diag_indices_from(h)] -= level

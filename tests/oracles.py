@@ -2,7 +2,7 @@
 test-only helpers that no library caller runs, for tests only.
 
 The library works from the rank-r structure of V: the plane-wave factor
-of ``fiber_potential`` and the r x r Gram of ``_support_gram``.  The
+of ``operators.fiber_blocks`` and the r x r Gram of ``_support_gram``.  The
 builders here form the full matrices on the momentum grid instead, the
 independent reference every fast route is checked against at small N.
 They share the library's guards: a matrix whose 8 N^6 bytes exceed
@@ -48,11 +48,12 @@ from lattice_spectra.model import (
     TorusVector,
 )
 from lattice_spectra.operators import (
-    FiberPotential,
     GridOperator,
     Kernel,
     _axis_factors,
     _eigvalsh,
+    _fiber_parts,
+    _parity_map,
     _require_dense_fits,
     _require_grid_fits,
     _require_psd,
@@ -151,13 +152,21 @@ def build_bs(
     return GridOperator(g, grid, "BS")
 
 
-def parity_blocks_of_v(fv: FiberPotential) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks of V, formed densely from the parity factor rows
-    of a parity-closed ``FiberPotential``."""
-    w = fv.weights
-    even = (fv.even_factor * w[: fv.n_cos]) @ fv.even_factor.T
-    odd = (fv.odd_factor * w[fv.n_cos :]) @ fv.odd_factor.T
-    return even, odd
+def parity_nodes(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the even parity block (one of each pair q, -q, then the
+    fixed nodes) and of the odd one (the pairs' representatives) on a grid
+    closed under parity."""
+    nodes, mirror = np.arange(grid.dim), _parity_map(grid)
+    pairs = nodes[nodes < mirror]
+    return np.concatenate([pairs, nodes[nodes == mirror]]), pairs
+
+
+def parity_blocks_of_v(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of V on a grid closed under parity, formed densely
+    from the factor rows ``_fiber_parts`` gives its parity blocks at k = 0,
+    where every axis factor of E is even."""
+    (_, even, w_even), (_, odd, w_odd) = _fiber_parts(MassPair(1, 1), ZERO_K, pot, grid)[0]
+    return (even * w_even) @ even.T, (odd * w_odd) @ odd.T
 
 
 def dense_resonance_analysis(

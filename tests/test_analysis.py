@@ -30,7 +30,7 @@ from lattice_spectra import (
     verify_existence,
     verify_neraven,
 )
-from lattice_spectra import analysis, cli, operators
+from lattice_spectra import analysis, cli, operators, spectral
 from lattice_spectra.cli import main
 from lattice_spectra.errors import (
     GridTooSmallError,
@@ -470,10 +470,10 @@ class TestNeraven:
         def refuse(*args, **kwargs):
             raise AssertionError("dense matrix build")
 
-        for module in (analysis, cli, operators):
-            for name in ("fiber_potential", "build_v", "build_h", "build_h0"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+        # by name, each present: a name that is gone fails here, not silently
+        for module, name in [(operators, "fiber_blocks"), (operators, "_fiber_parts"),
+                             (spectral, "fiber_blocks"), (operators, "build_h0")]:
+            monkeypatch.setattr(module, name, refuse)
         path = tmp_path / "pot.json"
         path.write_text('{"sites": [{"s": [0, 0, 0], "v": 3.6}, '
                         '{"s": [0, 0, 1], "v": 0.86}, {"s": [0, 1, 0], "v": 0.79}]}')

@@ -19,7 +19,6 @@ from lattice_spectra import (
     Potential,
     Quasimomentum,
     fiber_eigenvalues,
-    fiber_potential,
     spectral,
 )
 from lattice_spectra import operators
@@ -39,7 +38,7 @@ SIGNED = Potential({
 
 def assert_matches_dense(m, k, pot, grid):
     ref = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
-    eigs = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
+    eigs = fiber_eigenvalues(m, k, pot, grid)
     assert eigs.shape == ref.shape
     assert np.all(np.diff(eigs) >= 0.0)
     scale = max(1.0, float(np.abs(ref).max()))
@@ -48,8 +47,7 @@ def assert_matches_dense(m, k, pot, grid):
 
 def reduced_dims(m, k, pot, grid):
     """Rows of each reduced block and the number of copies split off it."""
-    fv = fiber_potential(pot, grid)
-    return [(h.shape[0], len(c)) for h, c in fv.deflated_blocks(m, k)]
+    return [(h.shape[0], len(c)) for h, c in operators.fiber_blocks(m, k, pot, grid)]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
@@ -130,29 +128,29 @@ def test_degenerate_property(inst):
     (EQUAL, Quasimomentum(0.3, -1.1, 2.0), SIGNED, MomentumGrid(6)),
 ])
 def test_no_long_run_is_bit_identical(m, k, pot, grid):
-    fv = fiber_potential(pot, grid)
-    deflated = list(fv.deflated_blocks(m, k))
-    plain = list(fv.blocks(m, k))
+    deflated = list(operators.fiber_blocks(m, k, pot, grid))
+    plain = [operators._block(*part) for part in operators._fiber_parts(m, k, pot, grid)[0]]
     assert len(deflated) == len(plain)
     for (h, copies), ref in zip(deflated, plain):
         assert copies.size == 0 and np.array_equal(h, ref)
     expected = np.sort(np.concatenate([eig_sym(h) for h in plain]))
-    assert np.array_equal(fiber_eigenvalues(m, k, fv), expected)
+    assert np.array_equal(fiber_eigenvalues(m, k, pot, grid), expected)
 
 
 def test_one_eig_sym_per_block_even_when_empty(monkeypatch):
     # flat band with only an origin site: the odd block has rank 0 and
     # deflates to nothing, the even one to 1 x 1
     sizes = []
+    solve = spectral._eigvalsh
 
-    def counted(op):
-        sizes.append(np.shape(op)[0])
-        return eig_sym(op)
+    def counted(a):
+        sizes.append(np.shape(a)[0])
+        return solve(a)
 
-    monkeypatch.setattr(spectral, "eig_sym", counted)
+    monkeypatch.setattr(spectral, "_eigvalsh", counted)
     grid = MomentumGrid(4)
     eigs = fiber_eigenvalues(EQUAL, Quasimomentum(PI, PI, PI),
-                             fiber_potential(Potential({(0, 0, 0): 2.0}), grid))
+                             Potential({(0, 0, 0): 2.0}), grid)
     assert sizes == [1, 0]
     assert eigs.shape == (64,)
     assert np.allclose(eigs, np.r_[4.0, np.full(63, 6.0)], rtol=0, atol=1e-13)
@@ -163,28 +161,26 @@ def test_memory_guard_on_undeflated_rows(monkeypatch):
     pot, grid = Potential({(0, 0, 0): 4.0, (1, 0, 0): 1.2}), MomentumGrid(10)
     k = Quasimomentum(0.5, 0.5, 0.5)
     assert max(d for d, _ in reduced_dims(EQUAL, k, pot, grid)) ** 2 * 8 < 1e6
-    fv = fiber_potential(pot, grid)
     monkeypatch.setattr(operators, "_physical_memory", lambda: 1e6)
     with pytest.raises(DenseTooLargeError):
-        fiber_eigenvalues(EQUAL, k, fv)
+        fiber_eigenvalues(EQUAL, k, pot, grid)
 
 
 @pytest.mark.parametrize("blocks, refused", [(1.5, True), (2.0, False)])
 def test_memory_guard_counts_the_solvers_copy(monkeypatch, blocks, refused):
-    # a solve holds the block and the eigensolver's copy of it (and before
-    # that the symmetry check's difference): one 64-row block here, unequal
-    # masses at a generic k, needs two blocks of memory
+    # a solve holds the block and the eigensolver's copy of it: one 64-row
+    # block here, unequal masses at a generic k, needs two blocks of memory
     m, k, grid = MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), MomentumGrid(4)
-    fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), grid)
-    assert [h.shape for h in fv.blocks(m, k)] == [(64, 64)]
+    pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5})
+    assert [len(diag) for diag, _, _ in operators._fiber_parts(m, k, pot, grid)[0]] == [64]
     monkeypatch.setattr(operators, "_physical_memory", lambda: blocks * 8.0 * 64**2)
     if refused:
         with pytest.raises(DenseTooLargeError):
-            fiber_eigenvalues(m, k, fv)
+            fiber_eigenvalues(m, k, pot, grid)
         with pytest.raises(DenseTooLargeError):
-            spectral.fiber_count_below_dense(m, k, fv, 0.0)
+            spectral.fiber_count_below_dense(m, k, pot, 0.0, grid)
     else:
-        assert fiber_eigenvalues(m, k, fv).shape == (64,)
+        assert fiber_eigenvalues(m, k, pot, grid).shape == (64,)
 
 
 @pytest.mark.parametrize("blocks, refused", [(0.5, True), (1.5, False)])

@@ -238,6 +238,13 @@ class TestSiteCoordinates:
             load_potential(doc)
         assert type(info.value) is PotentialFormatError
 
+    def test_coordinate_too_long_to_print_is_a_format_error(self):
+        # repr of an int beyond 4300 digits raises ValueError; the echo does not
+        with pytest.raises(PotentialFormatError, match="triple of integers") as info:
+            Potential({(10**5000, 1.5, 0): 1.0})
+        assert type(info.value) is PotentialFormatError
+        assert len(str(info.value)) < 100
+
     def test_numpy_integers_accepted_as_python_ints(self):
         pot = Potential({(np.int64(1), np.int32(0), 2): 1.5})
         assert dict(pot.entries) == {(1, 0, 2): 1.5, (-1, 0, -2): 1.5}

@@ -29,7 +29,6 @@ from lattice_spectra import (
     fiber_count_above,
     fiber_count_below,
     fiber_eigenvalues,
-    fiber_potential,
     potential_spectrum,
     weyl_bracket,
 )
@@ -51,10 +50,16 @@ from oracles import (
     build_v,
     build_vhalf,
     parity_blocks_of_v,
+    parity_nodes,
     position_box_values,
 )
 
 K0 = Quasimomentum(0, 0, 0)
+
+
+def block_rows(m, k, pot, grid):
+    """Rows of each diagonal block of H(k), before deflation."""
+    return [len(diag) for diag, _, _ in operators._fiber_parts(m, k, pot, grid)[0]]
 
 
 def spectrum_multiset(pot, grid):
@@ -578,7 +583,7 @@ class TestFiberEigenvalues:
     def test_matches_dense_h(self, inst):
         m, k, pot, grid = inst
         ref = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
-        eigs = fiber_eigenvalues(m, k, fiber_potential(pot, grid))
+        eigs = fiber_eigenvalues(m, k, pot, grid)
         assert eigs.shape == (grid.dim,)
         assert np.all(np.diff(eigs) >= 0.0)
         scale = max(1.0, float(np.abs(ref).max()))
@@ -590,18 +595,18 @@ class TestFiberEigenvalues:
     ])
     def test_parity_block_sizes(self, n, offset, fixed):
         grid = MomentumGrid(n, offset)
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), grid)
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5})
         even, odd = (grid.dim + fixed) // 2, (grid.dim - fixed) // 2
-        v_even, v_odd = parity_blocks_of_v(fv)
+        v_even, v_odd = parity_blocks_of_v(pot, grid)
         assert v_even.shape == (even, even) and v_odd.shape == (odd, odd)
         for m, k in [(MassPair(1, 1), Quasimomentum(0.7, -1.9, 2.8)),
                      (MassPair(1, 2.5), K0)]:
-            assert [h.shape[0] for h in fv.blocks(m, k)] == [even, odd]
+            assert block_rows(m, k, pot, grid) == [even, odd]
         # unequal masses at k != 0: the dispersion is not even, one block
-        blocks = fv.blocks(MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))
-        assert [h.shape for h in blocks] == [(grid.dim, grid.dim)]
+        assert block_rows(MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8), pot,
+                          grid) == [grid.dim]
 
-    def test_factor_built_once_in_fiber_potential(self, monkeypatch):
+    def test_factor_built_once_per_call(self, monkeypatch):
         calls = []
         build = operators._plane_wave_factor
 
@@ -610,24 +615,21 @@ class TestFiberEigenvalues:
             return build(*args)
 
         monkeypatch.setattr(operators, "_plane_wave_factor", counted)
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
-        assert len(calls) == 1
-        held = [fv.factor, fv.weights, fv.mirror, fv.even_nodes, fv.odd_nodes,
-                fv.even_factor, fv.odd_factor]
-        assert not any(a.flags.writeable for a in held)
+        pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4)
         k = Quasimomentum(0.7, -1.9, 2.8)
-        for m, q in [(MassPair(1, 2.5), k), (MassPair(1, 1), k), (MassPair(1, 2.5), K0)]:
-            fiber_eigenvalues(m, q, fv)
-        assert len(calls) == 1
+        for i, (m, q) in enumerate(
+                [(MassPair(1, 2.5), k), (MassPair(1, 1), k), (MassPair(1, 2.5), K0)], 1):
+            fiber_eigenvalues(m, q, pot, grid)
+            assert len(calls) == i
 
     def test_threads_share_one_fiber_potential(self):
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4))
+        pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(4)
         start = threading.Barrier(4)
         results = []
 
         def solve():
             start.wait(timeout=10)
-            results.append([fiber_eigenvalues(m, k, fv) for m, k in [
+            results.append([fiber_eigenvalues(m, k, pot, grid) for m, k in [
                 (MassPair(1, 1), K0), (MassPair(1, 2.5), Quasimomentum(0.7, -1.9, 2.8))]])
 
         interval = sys.getswitchinterval()
@@ -650,44 +652,43 @@ class TestFiberEigenvalues:
         # of the circulant V
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -0.5, (0, 1, 1): 0.75})
         grid = MomentumGrid(n, offset)
-        fv = fiber_potential(pot, grid)
         v = build_v(pot, grid).matrix
-        assert fv.factor.shape == (grid.dim, len(pot.entries))
-        f, w = fv.factor, fv.weights
+        f, w, _ = operators._plane_wave_factor(pot, grid)
+        assert f.shape == (grid.dim, len(pot.entries))
         assert np.allclose((f * w) @ f.T, v, rtol=0.0, atol=1e-14)
-        if fv.mirror is None:
+        mirror = operators._parity_map(grid)
+        if mirror is None:
             return
         # <e|V|e'> = c c' (V(q, q') + V(q, -q')), c = 1 at the pair
         # representatives and 1/sqrt(2) at the fixed nodes
-        pairs, nodes = fv.odd_nodes, fv.even_nodes
+        nodes, pairs = parity_nodes(grid)
         c = np.where(np.arange(len(nodes)) < len(pairs), 1.0, math.sqrt(0.5))
-        even = v[np.ix_(nodes, nodes)] + v[np.ix_(nodes, fv.mirror[nodes])]
-        odd = v[np.ix_(pairs, pairs)] - v[np.ix_(pairs, fv.mirror[pairs])]
-        v_even, v_odd = parity_blocks_of_v(fv)
+        even = v[np.ix_(nodes, nodes)] + v[np.ix_(nodes, mirror[nodes])]
+        odd = v[np.ix_(pairs, pairs)] - v[np.ix_(pairs, mirror[pairs])]
+        v_even, v_odd = parity_blocks_of_v(pot, grid)
         assert np.allclose(v_even, np.outer(c, c) * even, rtol=0.0, atol=1e-14)
         assert np.allclose(v_odd, odd, rtol=0.0, atol=1e-14)
 
     def test_holds_rank_r_arrays_and_peaks_below_one_dense_v(self):
         pot = Potential({(0, 0, 0): 3.6, (0, 0, 1): 0.86, (0, 1, 0): 0.79})
         grid, r = MomentumGrid(10), 5
+        m, k = MassPair(1, 1), Quasimomentum(0.3, 0.3, 0.3)
         tracemalloc.start()
         try:
-            fv = fiber_potential(pot, grid)
-            fiber_eigenvalues(MassPair(1, 1), Quasimomentum(0.3, 0.3, 0.3), fv)
+            fiber_eigenvalues(m, k, pot, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = [getattr(fv, name) for name in fv.__slots__]
-        arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert len(arrays) == 7
+        parts, _ = operators._fiber_parts(m, k, pot, grid)
+        arrays = [a for part in parts for a in part]
+        assert len(arrays) == 6
         assert all(a.size <= grid.dim * r for a in arrays)
         assert peak < 8 * grid.dim**2
 
     def test_quarter_offset_is_one_block(self):
         grid = MomentumGrid(5, 0.25)
-        fv = fiber_potential(point_potential(2.0), grid)
-        assert fv.mirror is None
-        assert [h.shape for h in fv.blocks(MassPair(1, 1), K0)] == [(125, 125)]
+        assert operators._parity_map(grid) is None
+        assert block_rows(MassPair(1, 1), K0, point_potential(2.0), grid) == [125]
 
 
 def summed(e1, e2, e3):
@@ -706,10 +707,11 @@ class TestOneSampledE:
         (MassPair(1.0, 1.0), K0, MomentumGrid(5, 0.25), 1),
     ])
     def test_dense_path_samples_no_node_array(self, monkeypatch, m, k, grid, n_blocks):
-        # the factor of V is built from the nodes once; after that no k
-        # samples E through the N^3 x 3 node array
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5, (0, 1, -1): -0.7}),
-                             grid)
+        # the factor of V is built from the nodes (here once, ahead); E is
+        # never sampled through the N^3 x 3 node array
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5, (0, 1, -1): -0.7})
+        factor = operators._plane_wave_factor(pot, grid)
+        monkeypatch.setattr(operators, "_plane_wave_factor", lambda *args: factor)
 
         def refuse(*args, **kwargs):
             raise AssertionError("E sampled through the node array")
@@ -717,12 +719,14 @@ class TestOneSampledE:
         monkeypatch.setattr(MomentumGrid, "nodes", refuse)
         for module in (sys.modules["lattice_spectra.dispersion"], operators):
             monkeypatch.setattr(module, "dispersion_on_grid", refuse)
-        eigs = fiber_eigenvalues(m, k, fv)
+        eigs = fiber_eigenvalues(m, k, pot, grid)
         assert eigs.shape == (grid.dim,)
         i = int(np.argmax(np.diff(eigs[:8])))  # a level in a clear gap
-        assert fiber_count_below_dense(m, k, fv, 0.5 * (eigs[i] + eigs[i + 1])) == i + 1
-        assert sum(h.shape[0] for h in fv.blocks(m, k)) == grid.dim
-        assert len(list(fv.blocks(m, k))) == n_blocks
+        level = 0.5 * (eigs[i] + eigs[i + 1])
+        assert fiber_count_below_dense(m, k, pot, level, grid) == i + 1
+        rows = block_rows(m, k, pot, grid)
+        assert sum(rows) == grid.dim
+        assert len(rows) == n_blocks
 
     @settings(max_examples=60, deadline=None)
     @given(fiber_instances())
@@ -738,8 +742,7 @@ class TestOneSampledE:
         # every factor equals its mirror image within PARITY_TOL times
         # max(1, largest sample)
         m, k, pot, grid = inst
-        fv = fiber_potential(pot, grid)
-        parts, _ = fv._parts(m, k)
+        parts, _ = operators._fiber_parts(m, k, pot, grid)
         factors = operators._axis_factors(m, k, grid)
         mirror = operators._axis_mirror(grid)
         tol = operators.PARITY_TOL * max(1.0, float(summed(*factors).max()))
@@ -750,8 +753,9 @@ class TestOneSampledE:
             assert np.array_equal(parts[0][0], summed(*factors))
             return
         e = summed(*(0.5 * (ej + ej[mirror]) for ej in factors))
-        assert np.array_equal(parts[0][0], e[fv.even_nodes])
-        assert np.array_equal(parts[1][0], e[fv.odd_nodes])
+        even_nodes, odd_nodes = parity_nodes(grid)
+        assert np.array_equal(parts[0][0], e[even_nodes])
+        assert np.array_equal(parts[1][0], e[odd_nodes])
 
     @pytest.mark.parametrize("masses, k, n, offset, gram_nodes", [
         ((1.0, 1.0), (0.7, -1.9, 2.8), 8, 0.5, 4**3),
@@ -772,7 +776,7 @@ class TestOneSampledE:
         mirror = operators._axis_mirror(grid)
         kept = n if mirror is None else int(np.count_nonzero(np.arange(n) <= mirror))
         folds_all = seen == kept**3 < grid.dim
-        assert len(fiber_potential(pot, grid)._parts(m, k)[0]) == (2 if folds_all else 1)
+        assert len(block_rows(m, k, pot, grid)) == (2 if folds_all else 1)
 
     @pytest.mark.parametrize("m, k, rows", [
         (MassPair(1.0, 1.0), Quasimomentum(0.7, 0.7, 0.7), [108, 108]),
@@ -786,12 +790,12 @@ class TestOneSampledE:
             guarded.append(n)
             guard(n, grid)
 
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(6))
+        pot, grid = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5}), MomentumGrid(6)
         monkeypatch.setattr(operators, "_require_dense_fits", counted)
-        fiber_eigenvalues(m, k, fv)
+        fiber_eigenvalues(m, k, pot, grid)
         assert guarded == rows
         guarded.clear()
-        list(fv.blocks(m, k))
+        operators._fiber_parts(m, k, pot, grid)
         assert guarded == rows
 
 
@@ -890,8 +894,7 @@ class TestCountAtANodeOfE:
     def test_dense_count_within_rounding_of_a_node(self):
         eigs = np.linalg.eigvalsh(build_h(self.M, K0, self.POT, self.GRID).matrix)
         assert int(np.count_nonzero(eigs < -1e-15)) == 4
-        fv = fiber_potential(self.POT, self.GRID)
-        assert fiber_count_below_dense(self.M, K0, fv, -1e-15) == 4
+        assert fiber_count_below_dense(self.M, K0, self.POT, -1e-15, self.GRID) == 4
 
 
 class TestNonFiniteZAndLapackFailure:

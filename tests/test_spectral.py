@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lattice_spectra import (
-    FiberPotential,
     MomentumGrid,
     Potential,
     Quasimomentum,
@@ -16,7 +15,8 @@ from lattice_spectra import (
     count_below,
     default_tie_tol,
     eig_sym,
-    fiber_potential,
+    fiber_eigenvalues,
+    operators,
     spectral,
     verify_counting_theorem,
 )
@@ -202,7 +202,7 @@ class TestFiberCountBelowDense:
         }[where]
         # a level within rounding of an eigenvalue has no strict count
         assume(np.abs(eigs - level).min() > 1e-9 * scale)
-        got = fiber_count_below_dense(m, k, fiber_potential(pot, grid), level)
+        got = fiber_count_below_dense(m, k, pot, level, grid)
         assert got == int(np.count_nonzero(eigs < level))
 
     def test_leading_half_factors_and_schur_complement_does_not(self):
@@ -213,8 +213,7 @@ class TestFiberCountBelowDense:
         m, k = MassPair(2.5, 1.25), Quasimomentum(-0.3, -2.2, -0.6)
         pot = Potential({(0, 0, 0): 3.6, (0, 1, 0): 7.7, (0, 1, -1): 7.4, (1, -1, 0): -0.25})
         grid = MomentumGrid(4)
-        fiber = fiber_potential(pot, grid)
-        [(h, copies)] = list(fiber.deflated_blocks(m, k))
+        [(h, copies)] = list(operators.fiber_blocks(m, k, pot, grid))
         assert h.shape == (64, 64) and copies.size == 0
         eigs = np.linalg.eigvalsh(h)
         half_min = float(np.linalg.eigvalsh(h[:32, :32])[0])
@@ -225,7 +224,7 @@ class TestFiberCountBelowDense:
         for count, level in enumerate(levels, start=1):
             np.linalg.cholesky(h[:32, :32] - level * np.eye(32))
             assert np.count_nonzero(dense < level) == count
-            assert fiber_count_below_dense(m, k, fiber, level) == count
+            assert fiber_count_below_dense(m, k, pot, level, grid) == count
 
     @pytest.mark.parametrize("n", [65, 201])
     def test_lower_solve_matches_general_solve(self, n):
@@ -242,32 +241,36 @@ class TestFiberCountBelowDense:
         monkeypatch.setattr(spectral, "_eigvalsh", refuse)
         m, k = MassPair(1.0, 1.0), Quasimomentum(0.4, 0.4, 0.4)
         pot, grid = Potential({(0, 0, 0): 3.0, (1, 0, 0): -1.0}), MomentumGrid(6, 0.0)
-        fiber = fiber_potential(pot, grid)
-        assert len(list(fiber.deflated_blocks(m, k))) == 2
-        assert fiber_count_below_dense(m, k, fiber, -5.0) == 0
+        assert len(list(operators.fiber_blocks(m, k, pot, grid))) == 2
+        assert fiber_count_below_dense(m, k, pot, -5.0, grid) == 0
 
-    def test_non_finite_block_is_numerical_failure(self):
-        fv = fiber_potential(Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0}), MomentumGrid(4))
-        weights = fv.weights.copy()
-        weights[0] = np.nan
-        broken = FiberPotential(fv.potential, fv.grid, fv.factor, weights, fv.n_cos)
+    def test_non_finite_block_is_numerical_failure(self, monkeypatch):
+        build = operators._plane_wave_factor
+
+        def broken(*args):
+            factor, weights, n_cos = build(*args)
+            weights[0] = np.nan
+            return factor, weights, n_cos
+
+        monkeypatch.setattr(operators, "_plane_wave_factor", broken)
         with pytest.raises(NumericalFailure, match="non-finite"):
             fiber_count_below_dense(MassPair(1.0, 2.0), Quasimomentum(0.3, 0.5, -1.2),
-                                    broken, 1.0)
+                                    Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0}), 1.0,
+                                    MomentumGrid(4))
 
     def test_lapack_failure_of_the_fallback_is_numerical_failure(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        fiber = fiber_potential(Potential({(0, 0, 0): 2.0}), MomentumGrid(4))
         with pytest.raises(NumericalFailure, match="did not converge"):
             fiber_count_below_dense(MassPair(1.0, 2.0), Quasimomentum(0.3, 0.5, -1.2),
-                                    fiber, 20.0)
+                                    Potential({(0, 0, 0): 2.0}), 20.0, MomentumGrid(4))
 
 
 class TestDenseCountChecksFiniteness:
-    """The count checks the blocks the library built for finiteness only."""
+    """The count and the full solve check the blocks the library built for
+    finiteness only."""
 
     def test_no_symmetry_check_of_built_blocks(self, monkeypatch):
         def refuse(a):
@@ -280,7 +283,26 @@ class TestDenseCountChecksFiniteness:
         dense = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
         expected = int(np.count_nonzero(dense < level))
         assert expected > 0
-        assert fiber_count_below_dense(m, k, fiber_potential(pot, grid), level) == expected
+        assert fiber_count_below_dense(m, k, pot, level, grid) == expected
+
+    def test_no_symmetry_check_in_the_full_solve(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("symmetry check")
+
+        monkeypatch.setattr(spectral, "_check_symmetric", refuse)
+        m, k = MassPair(2.5, 1.25), Quasimomentum(-0.3, -2.2, -0.6)
+        pot, grid = Potential({(0, 0, 0): 3.6, (0, 1, 0): 7.7}), MomentumGrid(4)
+        dense = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        assert np.allclose(fiber_eigenvalues(m, k, pot, grid), dense, rtol=0, atol=1e-12)
+        # a caller's matrix is still checked
+        with pytest.raises(AssertionError, match="symmetry check"):
+            eig_sym(np.eye(2))
+
+    def test_full_solve_overflow_is_numerical_failure(self):
+        m = MassPair(1.0, 1.0)
+        pot = Potential({(0, 0, 0): 1.0, (1, 0, 0): 1e308})  # 2v overflows
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
+            fiber_eigenvalues(m, Quasimomentum(0.3, 0.5, -1.2), pot, MomentumGrid(4))
 
     @pytest.mark.parametrize("m, pot", [
         (MassPair(1e-308, 1.0), Potential({(0, 0, 0): 2.0})),  # E overflows
@@ -288,5 +310,5 @@ class TestDenseCountChecksFiniteness:
     ])
     def test_overflow_is_numerical_failure(self, m, pot):
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
-            fiber_count_below_dense(m, Quasimomentum(0.3, 0.5, -1.2),
-                                    fiber_potential(pot, MomentumGrid(4)), -1.0)
+            fiber_count_below_dense(m, Quasimomentum(0.3, 0.5, -1.2), pot, -1.0,
+                                    MomentumGrid(4))
