@@ -26,7 +26,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def _wrap(x: float) -> float:
-    """Reduce a real number modulo 2*pi into (-pi, pi]."""
+    """Reduce a real number modulo 2*pi into (-pi, pi]; one already there is
+    kept as given, since the reduction itself rounds."""
+    if -math.pi < x <= math.pi:
+        return x
     w = math.pi - (math.pi - x) % TWO_PI
     # guard against -pi leaking through floating point cancellation
     return w if w > -math.pi else math.pi

@@ -71,6 +71,11 @@ class TestBand:
         assert rec["e_max"] == 12.0
         assert rec["w_b"] == 12.0
 
+    def test_k_echoed_as_given(self, capsys):
+        code, out, _ = run(capsys, "band", "--k", "0.3,-1,0.2")
+        assert code == 0
+        assert json.loads(out)["band"][0]["k"] == [0.3, -1.0, 0.2]
+
     def test_k_path_width_shrinks_to_zero(self, capsys):
         code, out, _ = run(
             capsys, "band", "--k-path",

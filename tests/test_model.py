@@ -57,6 +57,11 @@ class TestTorusNormalization:
         with pytest.raises(ValueError):
             RelativeMomentum(0.0, 0.0, bad)
 
+    def test_components_in_range_kept_as_given(self):
+        # pi - (pi - x) mod 2 pi rounds: 0.3 became 0.2999999999999998
+        assert Quasimomentum(0.3, -1.0, 0.2).components == (0.3, -1.0, 0.2)
+        assert RelativeMomentum(-3.0, 1e-300, math.pi).components == (-3.0, 1e-300, math.pi)
+
     def test_interior(self):
         assert Quasimomentum(0.1, -0.2, 3.0).is_interior()
         assert not Quasimomentum(math.pi, 0.0, 0.0).is_interior()
