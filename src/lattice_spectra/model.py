@@ -27,12 +27,11 @@ TWO_PI = 2.0 * math.pi
 
 def _wrap(x: float) -> float:
     """Reduce a real number modulo 2*pi into (-pi, pi]; one already there is
-    kept as given, since the reduction itself rounds."""
+    kept as given, as the reduction rounds."""
     if -math.pi < x <= math.pi:
         return x
     w = math.pi - (math.pi - x) % TWO_PI
-    # guard against -pi leaking through floating point cancellation
-    return w if w > -math.pi else math.pi
+    return w if w > -math.pi else math.pi  # -pi can leak through cancellation
 
 
 class MassPair(namedtuple("MassPair", "m1 m2")):
@@ -117,11 +116,10 @@ ECHO_CHARS = 80  # longest echo of an input value in an error message
 
 def _echo(x) -> str:
     """repr(x) shortened by ``reprlib``, which also bounds the nesting it
-    descends, and cut to ECHO_CHARS: a value read from a file can be any size.
-    An int of more digits than ``repr`` converts is echoed as a placeholder."""
+    descends, and cut to ECHO_CHARS: a value read from a file can be any size."""
     try:
         text = reprlib.repr(x)
-    except ValueError:
+    except ValueError:  # an int of more digits than repr converts
         return "<a value too large to print>"
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
 

@@ -320,14 +320,11 @@ def _deflate(
 
 
 def _plane_wave_factor(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """[C | S], (w, w') and the number of columns of C, so that
-    V = C diag(w) C^T + S diag(w') S^T on the grid.
-
-    With one representative s of each pair of sites +-s (the origin
-    first), c_s(q) = cos(q.s) / N^{3/2} and s_s(q) = sin(q.s) / N^{3/2}
-    over the nodes; w = v(0) at the origin and 2 v(s) at the other pairs,
-    w' the same without the origin.  N^3 x r; nothing N^3 x N^3 is built.
-    """
+    """The N^3 x r factor [C | S] of V = C diag(w) C^T + S diag(w') S^T,
+    (w, w') and the number of columns of C.  With one representative s of
+    each pair of sites +-s (the origin first), C and S hold cos(q.s) and
+    sin(q.s) over N^{3/2} at the nodes q; w is v(0) at the origin and 2 v(s)
+    at the other pairs, w' the same without the origin."""
     origin = (0, 0, 0)
     pairs = [s for s in pot.sorted_sites() if s > origin]
     ang = grid.nodes() @ np.array(pairs, dtype=float).reshape(-1, 3).T

@@ -67,9 +67,8 @@ def eig_sym(op: MatrixLike) -> np.ndarray:
     return _eigvalsh(a)
 
 
-def fiber_eigenvalues(
-    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
-) -> np.ndarray:
+def fiber_eigenvalues(m: MassPair, k: Quasimomentum, pot: Potential,
+                      grid: MomentumGrid) -> np.ndarray:
     """Ascending eigenvalues of H(k) = H0(k) - V on the grid.
 
     Solves the parity blocks of H(k) separately when it has them and
