@@ -237,7 +237,7 @@ def resonance_analysis(
             "grid offset must keep the dispersion minimum off the grid "
             f"(min sample {e_low}); use an even N with offset 0.5"
         )
-    gram = _gram(m, ZERO_K, pot, grid, 0.0)
+    gram, _ = _gram(m, ZERO_K, pot, grid, 0.0)
     try:
         eigs, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:

@@ -27,8 +27,8 @@ class NegativePotentialError(InputError):
 
 
 class ZNotBelowBandError(InputError):
-    """Spectral parameter z is not below the grid-sampled dispersion (or, for
-    a count above the band, not above it)."""
+    """Spectral parameter z lies inside the grid-sampled band [min E, max E],
+    or, for the Birman-Schwinger spectrum, not below it."""
 
 
 class ZeroPotentialError(InputError):

@@ -35,10 +35,10 @@ for these users:
 * the nonzero Birman-Schwinger spectrum of G(k, z)
   (``bs_support_eigenvalues``), and at k = 0, z = 0 with its eigenvectors
   the threshold classification of H(0) (``analysis.resonance_analysis``);
-* with z outside the sampled band, the number of eigenvalues of H(k)
-  below (``fiber_count_below``) or above (``fiber_count_above``) z, from
-  the inertia of S - G~(z) with S = diag(sgn v), by Haynsworth inertia
-  additivity.
+* with z outside the sampled band, on either side, the number of
+  eigenvalues of H(k) below z (``fiber_count_below``), from the inertia of
+  S - G~(z) with S = diag(sgn v), by Haynsworth inertia additivity, plus
+  N^3 when z lies above the band; ``fiber_count_above`` is N^3 minus it.
 
 ``weyl_bracket`` bounds the spectrum of H(k) without solving it, and sets
 the default tie band of those counts.
@@ -73,8 +73,8 @@ Birman-Schwinger operators are positive semidefinite.  Their Gram
 spectrum refuses a non-finite eigenvalue, or a smallest eigenvalue below
 -PSD_TOL * max(1, largest |eigenvalue|), with ``NumericalFailure``
 (``_require_psd``); rounding stays far above that floor.  The
-inertia counts apply the same floor to G~(z) below the band and to -G~(z)
-above it.
+inertia count reads the side of the band off z, and applies the same floor
+to G~(z) below the band and to -G~(z) above it.
 """
 
 from __future__ import annotations
@@ -499,25 +499,24 @@ def _support_gram(
 
 
 def _gram(
-    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid, z: float,
-    above: bool = False,
-) -> Optional[np.ndarray]:
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid, z: float
+) -> tuple[Optional[np.ndarray], tuple[float, float]]:
     """``_support_gram`` of H(k) at z with the kernel 1/(E - z), the one
-    checked entry of every r x r question.  GridTooSmallError when the
-    grid does not hold the support, ZNotBelowBandError unless z lies below
-    every sample of E (above every one with above); None for the empty
-    potential."""
+    checked entry of every r x r question, and the sampled band
+    (``_sampled_band``), which tells the caller the side of z.
+    GridTooSmallError when the grid does not hold the support,
+    ZNotBelowBandError when z lies inside the sampled band (NaN too); None
+    for the empty potential."""
     _require_grid_fits(pot, grid)
     factors = _axis_factors(m, k, grid)
     low, high = _sampled_band(factors)
-    edge = high if above else low
-    if not ((z > edge) if above else (z < edge)):  # NaN fails too
-        side = "above the grid-sampled dispersion maximum" if above else (
-            "below the grid-sampled dispersion minimum")
-        raise ZNotBelowBandError(f"z={z} is not {side} {edge}")
-    if pot.is_empty():
-        return None
-    return _support_gram(factors, _resolvent_kernel(z), pot, grid)
+    if not (z < low or z > high):  # NaN fails too
+        raise ZNotBelowBandError(
+            f"z={z} is not below the grid-sampled dispersion minimum {low} "
+            f"nor above its maximum {high}"
+        )
+    gram = None if pot.is_empty() else _support_gram(factors, _resolvent_kernel(z), pot, grid)
+    return gram, (low, high)
 
 
 def bs_support_eigenvalues(
@@ -535,33 +534,17 @@ def bs_support_eigenvalues(
     T(u) = (1/N^3) sum_n exp(i (q_n, u)) / (E(q_n) - z)
     is the lattice Green's function of the grid at site difference u
     (``_gram`` with the kernel 1/(E - z)).  Empty for the empty potential.
+    z must lie below the grid-sampled band.
 
     G is positive semidefinite, so a Gram eigenvalue below the PSD_TOL
     floor raises NumericalFailure.
     """
     if not pot.is_nonnegative():
         raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
-    gram = _gram(m, k, pot, grid, z)
+    gram, (low, _) = _gram(m, k, pot, grid, z)
+    if z > low:
+        raise ZNotBelowBandError(f"z={z} is not below the grid-sampled dispersion minimum {low}")
     return np.zeros(0) if gram is None else _require_psd(_eigvalsh(gram))
-
-
-def _count_outside_band(
-    m: MassPair,
-    k: Quasimomentum,
-    pot: Potential,
-    z: float,
-    grid: MomentumGrid,
-    above: bool,
-) -> int:
-    gram = _gram(m, k, pot, grid, z, above=above)
-    if gram is None:
-        return 0
-    _require_psd(_eigvalsh(-gram if above else gram))
-    signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
-    inertia = _eigvalsh(np.diag(signs) - gram)
-    if above:
-        return int(np.count_nonzero(inertia > 0.0) - np.count_nonzero(signs > 0.0))
-    return int(np.count_nonzero(inertia < 0.0) - np.count_nonzero(signs < 0.0))
 
 
 def fiber_count_below(
@@ -571,20 +554,32 @@ def fiber_count_below(
     z: float,
     grid: MomentumGrid,
 ) -> int:
-    """n_-(z, H(k)), the eigenvalues of H(k) strictly below z, for z below
-    the grid-sampled band, from an r x r problem (r the number of sites).
+    """n_-(z, H(k)), the eigenvalues of H(k) strictly below z, for z outside
+    the grid-sampled band [min E, max E], from an r x r problem (r the
+    number of sites).
 
     V = P D P* with D = diag(v) on the sites and P the N^3 x r plane waves
     of the sites over N^{3/2}, so P* P = I when N >= 2R + 1.  With
-    A = H0(k) - z positive definite, the Haynsworth inertia additivity of
+    A = H0(k) - z invertible, the Haynsworth inertia additivity of
     [[A, P], [P*, D^{-1}]] over its two Schur complements H(k) - z and
-    D^{-1} - P* A^{-1} P gives n_-(z, H) = n_-(S - G~(z)) - #{v < 0}, where
+    D^{-1} - P* A^{-1} P gives
+    n_-(z, H) = n_-(A) + n_-(S - G~(z)) - #{v < 0}, where
     S - G~ = |D|^{1/2} (D^{-1} - P* A^{-1} P) |D|^{1/2} is a congruent
     copy, S = diag(sgn v) and G~(z) is the Gram with weights |v| and
-    kernel 1/(E - z).  G~ is positive semidefinite below the band and is
-    checked against the PSD_TOL floor.
+    kernel 1/(E - z).  n_-(A) is 0 below the band and N^3 above it, and
+    G~ is positive semidefinite below the band and negative semidefinite
+    above it; the side is read off z, and G~ or -G~ is checked against the
+    PSD_TOL floor.
     """
-    return _count_outside_band(m, k, pot, z, grid, above=False)
+    gram, (_, high) = _gram(m, k, pot, grid, z)
+    above = z > high
+    n_a = grid.dim if above else 0  # n_-(A)
+    if gram is None:
+        return n_a
+    _require_psd(_eigvalsh(-gram if above else gram))
+    signs = np.sign([pot.entries[t] for t in pot.sorted_sites()])
+    inertia = _eigvalsh(np.diag(signs) - gram)
+    return n_a + int(np.count_nonzero(inertia < 0.0) - np.count_nonzero(signs < 0.0))
 
 
 def fiber_count_above(
@@ -594,12 +589,9 @@ def fiber_count_above(
     z: float,
     grid: MomentumGrid,
 ) -> int:
-    """n_+(z, H(k)), the eigenvalues of H(k) strictly above z, for z above
-    the grid-sampled band: n_+(S - G~(z)) - #{v > 0}, as in
-    ``fiber_count_below`` with A = H0(k) - z negative definite.  There
-    -G~(z) is positive semidefinite and is checked against the PSD_TOL floor.
-    """
-    return _count_outside_band(m, k, pot, z, grid, above=True)
+    """n_+(z, H(k)), the eigenvalues of H(k) strictly above z, for z outside
+    the grid-sampled band and not an eigenvalue: N^3 - ``fiber_count_below``."""
+    return grid.dim - fiber_count_below(m, k, pot, z, grid)
 
 
 def weyl_bracket(m: MassPair, k: Quasimomentum, pot: Potential) -> tuple[float, float]:
