@@ -17,7 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dispersion import band_geometry, degenerate_directions
-from .errors import InputError, NumericalFailure, PreconditionError, ZeroPotentialError
+from .errors import (
+    InputError,
+    NumericalFailure,
+    PreconditionError,
+    ZeroPotentialError,
+    ZNotBelowBandError,
+)
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _real
 from .operators import (
     _axis_factors,
@@ -231,13 +237,13 @@ def resonance_analysis(
         raise PreconditionError("threshold classification requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
-    e_low = _sampled_band(_axis_factors(m, ZERO_K, grid))[0]
-    if e_low <= 0.0:
+    try:
+        gram, _ = _gram(m, ZERO_K, pot, grid, 0.0)
+    except ZNotBelowBandError as exc:
         raise PreconditionError(
-            "grid offset must keep the dispersion minimum off the grid "
-            f"(min sample {e_low}); use an even N with offset 0.5"
-        )
-    gram, _ = _gram(m, ZERO_K, pot, grid, 0.0)
+            f"grid offset must keep the dispersion minimum off the grid ({exc}); "
+            "use an even N with offset 0.5"
+        ) from None
     try:
         eigs, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:

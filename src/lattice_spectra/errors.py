@@ -44,7 +44,8 @@ class ThreadCountError(InputError):
 
 
 class DenseTooLargeError(InputError):
-    """A dense N^3 x N^3 matrix would not fit in the machine's physical memory."""
+    """A dense array would not fit in the machine's physical memory: a block
+    of H(k), up to N^3 x N^3, or the Gram's N x N planes of E."""
 
 
 class NumericalFailure(RuntimeError):

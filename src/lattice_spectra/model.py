@@ -14,7 +14,7 @@ import math
 import reprlib
 from collections import namedtuple
 from types import MappingProxyType
-from typing import IO, Mapping, Union
+from typing import IO, Callable, Mapping, Union
 
 import numpy as np
 
@@ -99,16 +99,19 @@ class RelativeMomentum(TorusVector):
     __slots__ = ()
 
 
-def _real(x, name: str, error: type[InputError] = InputError) -> float:
+def _real(x, name: Union[str, Callable[[], str]],
+          error: type[InputError] = InputError) -> float:
     """The one gate for numbers: a Python or numpy int or float, never a
-    bool or a str, nor an int beyond the float range, returned as a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise error(f"{name} must be a real number, got {x!r}")
+    bool or a str, nor an int beyond the float range, returned as a float.
+    name is x's name in the refusal, or a function called only to refuse."""
     try:
-        return float(x)
+        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            why = f"must be a real number, got {_echo(x)}"
+        else:
+            return float(x)
     except OverflowError:
-        raise error(f"{name} is an integer beyond the float range "
-                    f"({x.bit_length()} bits)") from None
+        why = f"is an integer beyond the float range ({x.bit_length()} bits)"
+    raise error(f"{name() if callable(name) else name} {why}")
 
 
 ECHO_CHARS = 80  # longest echo of an input value in an error message
@@ -139,13 +142,14 @@ def _canonical_entries(entries: Mapping[Site, float]) -> dict[Site, float]:
     out: dict[Site, float] = {}
     for s, v in entries.items():
         s = _site(s)
-        v = _real(v, f"value at site {s}", PotentialFormatError)
+        v = _real(v, lambda: f"value at site {_echo(s)}", PotentialFormatError)
         if not math.isfinite(v):
-            raise PotentialFormatError(f"non-finite value {v!r} at site {s}")
+            raise PotentialFormatError(f"non-finite value {v!r} at site {_echo(s)}")
         neg = (-s[0], -s[1], -s[2])
         # s and neg enter out together, so s in out means neg is there too
         if s in out and out[s] != v:
-            raise EvennessError(f"evenness violated: v({neg})={out[neg]} but v({s})={v}")
+            raise EvennessError(
+                f"evenness violated: v({_echo(neg)})={out[neg]} but v({_echo(s)})={v}")
         out[s] = v
         out[neg] = v
     return {s: v for s, v in out.items() if v != 0.0}

@@ -8,7 +8,8 @@ The only N^3 x N^3 matrices built here are H0(k) (``build_h0``) and the
 blocks of H(k) handed to the eigensolver.  A dense build is refused
 before it allocates when its 8 rows^2 bytes exceed the machine's physical
 memory, twice that for a block that is solved: the solve holds the block
-and the eigensolver's copy of it.
+and the eigensolver's copy of it.  The r x r Gram is refused the same way
+when its N x N planes of E do not fit (``_require_gram_fits``).
 ``_convolution_matrix`` and the dense V, V^{1/2}, H(k) and G(k, z)
 builders are test oracles, in ``tests/oracles.py``.
 
@@ -94,7 +95,7 @@ from .errors import (
     NumericalFailure,
     ZNotBelowBandError,
 )
-from .model import MassPair, MomentumGrid, Potential, Quasimomentum
+from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _echo
 
 
 class GridOperator(namedtuple("GridOperator", "matrix grid kind")):
@@ -111,7 +112,7 @@ class GridOperator(namedtuple("GridOperator", "matrix grid kind")):
 def _require_grid_fits(pot: Potential, grid: MomentumGrid) -> None:
     if grid.n_per_dim < 2 * pot.support_radius + 1:
         raise GridTooSmallError(
-            f"grid N={grid.n_per_dim} < 2R+1={2 * pot.support_radius + 1}; "
+            f"grid N={_echo(grid.n_per_dim)} < 2R+1={_echo(2 * pot.support_radius + 1)}; "
             "aliasing would corrupt the spectrum"
         )
 
@@ -124,18 +125,22 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _require_fits(need: float, what: str, grid: MomentumGrid) -> None:
+    """DenseTooLargeError unless need bytes fit in physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise DenseTooLargeError(
+            f"{what} (grid N={grid.n_per_dim}) would take {need / 1e9:.3g} GB, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
+        )
+
+
 def _require_dense_fits(rows: int, grid: MomentumGrid, solved: bool = True) -> None:
     """DenseTooLargeError unless a dense rows x rows matrix, with the
     eigensolver's copy of it when it is solved, fits in physical memory."""
-    need = (2 if solved else 1) * 8.0 * rows**2
-    have = _physical_memory()
-    if need > have:
-        copy = " and the eigensolver's copy of it" if solved else ""
-        raise DenseTooLargeError(
-            f"a dense {rows} x {rows} matrix{copy} (grid N={grid.n_per_dim}) "
-            f"would take {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
-            "of physical memory"
-        )
+    copy = " and the eigensolver's copy of it" if solved else ""
+    _require_fits((2 if solved else 1) * 8.0 * rows**2,
+                  f"a dense {rows} x {rows} matrix{copy}", grid)
 
 
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
@@ -207,7 +212,7 @@ def _fiber_parts(
     sqrt(2) at the pairs) and the odd block the rows of S at its nodes
     times sqrt(2).  Otherwise the one block is the full matrix.  A block
     is its diagonal minus f diag(w) f^T, and is refused here when its rows
-    do not fit in memory.
+    do not fit in memory, before any N^3 array is built.
     """
     _require_grid_fits(pot, grid)
     factors = _axis_factors(m, k, grid)
@@ -215,6 +220,14 @@ def _fiber_parts(
     axis = _axis_mirror(grid)
     even = [_even_factor(ej, axis, tol) for ej in factors]
     split = all(ej is not None for ej in even)
+    # the block rows from the axes alone, before any N^3 array: the fixed
+    # nodes q = -q are the products of the axes' self-mirrored nodes
+    rows = [grid.dim]
+    if split:
+        fixed = int(np.count_nonzero(axis == np.arange(grid.n_per_dim))) ** 3
+        rows = [(grid.dim + fixed) // 2, (grid.dim - fixed) // 2]
+    for n in rows:
+        _require_dense_fits(n, grid)
     e1, e2, e3 = even if split else factors
     e = ((e1[:, None, None] + e2[:, None]) + e3).ravel()
     factor, weights, n_cos = _plane_wave_factor(pot, grid)
@@ -228,8 +241,6 @@ def _fiber_parts(
             (e[even_nodes], factor[even_nodes, :n_cos] * scale[:, None], weights[:n_cos]),
             (e[pairs], factor[pairs, n_cos:] * math.sqrt(2.0), weights[n_cos:]),
         ]
-    for diag, _, _ in parts:
-        _require_dense_fits(len(diag), grid)
     return parts, tol
 
 
@@ -498,6 +509,14 @@ def _support_gram(
     return 0.5 * (gram + gram.conj().T)
 
 
+def _require_gram_fits(grid: MomentumGrid) -> None:
+    """DenseTooLargeError unless the largest arrays of ``_support_gram`` fit
+    in physical memory: its N x N table of e_1 + e_2 and one slab of E,
+    counted unfolded.  Checked before any array of the grid is formed."""
+    n = grid.n_per_dim
+    _require_fits(8.0 * (n * n + max(n * n, GRAM_SLAB_NODES)), "the Gram's planes of E", grid)
+
+
 def _gram(
     m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid, z: float
 ) -> tuple[Optional[np.ndarray], tuple[float, float]]:
@@ -505,9 +524,11 @@ def _gram(
     checked entry of every r x r question, and the sampled band
     (``_sampled_band``), which tells the caller the side of z.
     GridTooSmallError when the grid does not hold the support,
+    DenseTooLargeError when its planes do not fit (``_require_gram_fits``),
     ZNotBelowBandError when z lies inside the sampled band (NaN too); None
     for the empty potential."""
     _require_grid_fits(pot, grid)
+    _require_gram_fits(grid)
     factors = _axis_factors(m, k, grid)
     low, high = _sampled_band(factors)
     if not (z < low or z > high):  # NaN fails too

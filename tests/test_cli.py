@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -45,14 +46,30 @@ def five_site_pot_file(tmp_path):
 
 
 def refuse_dense_v(monkeypatch):
-    """Make the N^3 x N^3 V builders that the library still has raise for
-    the rest of the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense V build")
+    """For the rest of the test, make ``operators.build_h0`` raise, and a
+    block of H(k) (``operators._block``) whose factor has more columns than
+    the potential has sites: V enters only as its rank-r factor.  The
+    potential's site count is read where ``_fiber_parts`` takes it, in the
+    same thread.  Each name is patched with ``monkeypatch.setattr``, which
+    fails when the name is gone."""
+    sites = threading.local()
+    fiber_parts, block = operators._fiber_parts, operators._block
 
-    for name in ("build_v", "_convolution_matrix"):
-        if hasattr(operators, name):
-            monkeypatch.setattr(operators, name, refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense H0 build")
+
+    def counted_parts(m, k, pot, grid):
+        sites.r = len(pot.entries)
+        return fiber_parts(m, k, pot, grid)
+
+    def rank_r_block(diag, f, w):
+        if f.shape[1] > sites.r:
+            raise AssertionError(f"a block factor of {f.shape[1]} columns for {sites.r} sites")
+        return block(diag, f, w)
+
+    monkeypatch.setattr(operators, "build_h0", refuse)
+    monkeypatch.setattr(operators, "_fiber_parts", counted_parts)
+    monkeypatch.setattr(operators, "_block", rank_r_block)
 
 
 def run(capsys, *argv):
@@ -343,6 +360,38 @@ class TestArgumentValidation:
                              point_pot_file, "--grid", "4", "--k", "0.7,-1.9,2.8")
         assert (code, out) == (2, "")
         assert err.startswith("error: a dense 64 x 64 matrix") and err.count("\n") == 1
+
+    def test_spectrum_refused_before_its_node_arrays(self, capsys, point_pot_file,
+                                                     monkeypatch):
+        # the guard reads the block rows off the axes: no N^3 array is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("an N^3 array built before the guard")
+
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 1.0)
+        monkeypatch.setattr(operators, "_plane_wave_factor", refuse)
+        code, out, err = run(capsys, "spectrum", "--potential", point_pot_file,
+                             "--grid", "8", "--k", "0,0,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a dense 256 x 256 matrix") and err.count("\n") == 1
+
+    def test_critical_refused_before_the_gram_arrays(self, capsys, point_pot_file,
+                                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array of the grid built before the guard")
+
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 1e5)
+        monkeypatch.setattr(operators, "_axis_factors", refuse)
+        code, out, err = run(capsys, "critical", "--potential", point_pot_file, "--grid", "64")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the Gram's planes of E (grid N=64)")
+        assert err.count("\n") == 1
+
+    def test_critical_at_a_grid_beyond_numpy(self, capsys, point_pot_file):
+        # np.arange(N) alone would raise ValueError; the guard refuses first
+        code, out, err = run(capsys, "critical", "--potential", point_pot_file,
+                             "--grid", str(10**20))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the Gram's planes of E") and err.count("\n") == 1
 
     def test_potential_value_beyond_the_float_range(self, capsys, tmp_path):
         huge = tmp_path / "huge.json"

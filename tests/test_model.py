@@ -250,6 +250,15 @@ class TestSiteCoordinates:
         assert type(info.value) is PotentialFormatError
         assert len(str(info.value)) < 100
 
+    def test_coordinate_too_long_to_print_is_a_site(self):
+        # sites are formatted only to refuse, so a valid one is never printed
+        pot = Potential({(10**5000, 0, 0): 1.0})
+        assert pot.support_radius == 10**5000
+        for value in ["1", math.nan]:
+            with pytest.raises(PotentialFormatError, match="at site <a value too large") as info:
+                Potential({(10**5000, 0, 0): value})
+            assert len(str(info.value)) < 100
+
     def test_numpy_integers_accepted_as_python_ints(self):
         pot = Potential({(np.int64(1), np.int32(0), 2): 1.5})
         assert dict(pot.entries) == {(1, 0, 2): 1.5, (-1, 0, -2): 1.5}

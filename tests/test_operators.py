@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lattice_spectra
@@ -34,6 +34,7 @@ from lattice_spectra import (
 )
 from lattice_spectra import analysis, model, operators
 from lattice_spectra.errors import (
+    DenseTooLargeError,
     GridTooSmallError,
     NegativePotentialError,
     NumericalFailure,
@@ -140,6 +141,17 @@ class TestBuildV:
         with pytest.raises(GridTooSmallError):
             build_v(pot, MomentumGrid(4))
         build_v(pot, MomentumGrid(5))  # 2R+1 = 5 is allowed
+
+    def test_radius_too_long_to_print(self):
+        # 2R+1 has more digits than repr converts; the refusal echoes it
+        pot = Potential({(10**5000, 0, 0): 1.0})
+        for call in [
+            lambda: potential_spectrum(pot, MomentumGrid(4)),
+            lambda: fiber_count_below(MassPair(1.0, 1.0), K0, pot, -1.0, MomentumGrid(4)),
+        ]:
+            with pytest.raises(GridTooSmallError, match="2R\\+1=<a value too large") as info:
+                call()
+            assert len(str(info.value)) < 100
 
 
 class TestPotentialSpectrum:
@@ -863,6 +875,107 @@ class TestFiberCounts:
         for z in inside:
             with pytest.raises(ZNotBelowBandError):
                 count(m, k, pot, z, grid)
+
+
+@st.composite
+def two_sided_instances(draw):
+    """Equal or unequal masses, random k, a signed or nonnegative potential
+    of radius 1, a grid with N in 3..6 at offset 0, 0.3 or 1/2, and a level
+    below or above the sampled band, 1e-6 to 1 of the scale away from it."""
+    n = draw(st.integers(3, 6))
+    offset = draw(st.sampled_from([0.0, 0.3, 0.5]))
+    m1 = draw(st.floats(0.5, 3.0))
+    m2 = draw(st.one_of(st.just(m1), st.floats(0.5, 3.0)))
+    k = Quasimomentum(*draw(st.tuples(*[st.floats(-math.pi, math.pi)] * 3)))
+    low = draw(st.sampled_from([-12.0, 0.0]))
+    span = st.integers(-1, 1)
+    entries = draw(
+        st.dictionaries(st.tuples(span, span, span), st.floats(low, 12.0),
+                        min_size=1, max_size=5)
+    )
+    pot = Potential({max(s, (-s[0], -s[1], -s[2])): v for s, v in entries.items()})
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    gap = 10.0 ** draw(st.floats(-6.0, 0.0))
+    return MassPair(m1, m2), k, pot, MomentumGrid(n, offset), side * gap
+
+
+class TestCountsOnBothSides:
+    """``fiber_count_below`` answers z on either side of the sampled band,
+    and ``fiber_count_above`` is N^3 minus it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_sided_instances())
+    def test_match_dense_counts(self, inst):
+        m, k, pot, grid, gap = inst
+        e1, e2, e3 = (axis_profile(m, kj)(grid.axis_nodes()) for kj in k.components)
+        samples = e1[:, None, None] + e2[None, :, None] + e3[None, None, :]
+        lo, hi = weyl_bracket(m, k, pot)
+        scale = max(1.0, abs(lo), abs(hi))
+        z = (float(samples.min()) if gap < 0 else float(samples.max())) + gap * scale
+        eigs = np.linalg.eigvalsh(build_h(m, k, pot, grid).matrix)
+        assume(float(np.abs(eigs - z).min()) > 1e-8 * scale)
+        below = fiber_count_below(m, k, pot, z, grid)
+        above = fiber_count_above(m, k, pot, z, grid)
+        assert below == int(np.count_nonzero(eigs < z))
+        assert above == int(np.count_nonzero(eigs > z))
+        assert below + above == grid.dim
+
+
+class TestGuardsBeforeGridArrays:
+    """The memory guards refuse from the grid's axes alone: the dense guard
+    before any N^3 array, the Gram's before any array of the grid."""
+
+    POT = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.5})
+
+    @pytest.mark.parametrize("m, k, grid", [
+        (MassPair(1.0, 1.0), K0, MomentumGrid(16, 0.0)),  # parity blocks, 8 fixed nodes
+        (MassPair(1.0, 1.0), K0, MomentumGrid(15)),  # parity blocks, 1 fixed node
+        (MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), MomentumGrid(16)),  # one block
+    ])
+    def test_dense_guard_before_node_arrays(self, monkeypatch, m, k, grid):
+        rows = max(block_rows(m, k, self.POT, grid))
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an N^3 array built before the guard")
+
+        monkeypatch.setattr(operators, "_plane_wave_factor", refuse)
+        monkeypatch.setattr(MomentumGrid, "nodes", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseTooLargeError, match=f"a dense {rows} x {rows} matrix"):
+                fiber_eigenvalues(m, k, self.POT, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.dim
+
+    def test_gram_guard_before_axis_arrays(self, monkeypatch):
+        m, grid = MassPair(1.0, 1.0), MomentumGrid(64)
+        need = 8.0 * (64**2 + max(64**2, operators.GRAM_SLAB_NODES))
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        assert fiber_count_below(m, K0, self.POT, -1.0, grid) == 0
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 0.5 * need)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array of the grid built before the guard")
+
+        monkeypatch.setattr(operators, "_axis_factors", refuse)
+        monkeypatch.setattr(operators, "_support_gram", refuse)
+        for call in [
+            lambda: bs_support_eigenvalues(m, K0, self.POT, -1.0, grid),
+            lambda: fiber_count_below(m, K0, self.POT, -1.0, grid),
+            lambda: fiber_count_above(m, K0, self.POT, 13.0, grid),
+            lambda: analysis.resonance_analysis(m, self.POT, grid),
+        ]:
+            with pytest.raises(DenseTooLargeError, match="the Gram's planes of E"):
+                call()
+
+    def test_gram_guard_at_a_grid_beyond_numpy(self):
+        # np.arange(N) alone would raise ValueError here
+        grid = MomentumGrid(10**20)
+        with pytest.raises(DenseTooLargeError, match="the Gram's planes of E"):
+            bs_support_eigenvalues(MassPair(1.0, 1.0), K0, self.POT, -1.0, grid)
 
 
 class TestCountAtANodeOfE:
