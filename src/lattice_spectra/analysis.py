@@ -463,8 +463,7 @@ def count_below_band(
     level = flat_band_level(m, k)
     if level is None:
         return fiber_count_below(m, k, pot, e_min - tol, grid)
-    vspec, mult = potential_spectrum(pot, grid)
-    return count_below(e_min, level - vspec, tol, mult)
+    return count_below(e_min, level - potential_spectrum(pot, grid), tol)
 
 
 def verify_neraven(
@@ -480,33 +479,34 @@ def verify_neraven(
     spectrum, the two-sided corollary with |V|, and, for equal masses at
     k = (pi, pi, pi), the exact integer equalities against the 6/m level.
     No dense H(k) and no N^3 array is built: the potential spectrum is its
-    r support values and the multiplicity N^3 - r of 0.  The count below
-    the band is ``count_below_band``, and the count above it the r x r
-    inertia count ``fiber_count_above`` at e_max + tie_tol, or on the flat
-    band (``flat_band_level``) the count of its exact spectrum, with the
-    same default tie band.
+    r support values (``potential_spectrum``), as V's N^3 - r zeros sit at
+    0, at w_b >= 0 or at the flat level 6/m, which strict counts exclude.
+    The count below the band is ``count_below_band``, and the count above
+    it the r x r inertia count ``fiber_count_above`` at e_max + tie_tol,
+    or on the flat band (``flat_band_level``) the count of its exact
+    spectrum, with the same default tie band.
     """
     geo = band_geometry(m, k)
-    vspec, mult = potential_spectrum(pot, grid)
+    vspec = potential_spectrum(pot, grid)
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
     lhs = count_below_band(m, k, pot, grid, tol)
     scalar_case = None
     level = flat_band_level(m, k)
     if level is not None:
         eigs_h = level - vspec
-        n_above = count_above(geo.e_max, eigs_h, tol, mult)
-        nb_h = count_below(level, eigs_h, tol, mult)
-        na_v = count_above(0.0, vspec, tol, mult)
-        na_h = count_above(level, eigs_h, tol, mult)
-        nb_v = count_below(0.0, vspec, tol, mult)
+        n_above = count_above(geo.e_max, eigs_h, tol)
+        nb_h = count_below(level, eigs_h, tol)
+        na_v = count_above(0.0, vspec, tol)
+        na_h = count_above(level, eigs_h, tol)
+        nb_v = count_below(0.0, vspec, tol)
         scalar_case = ScalarCaseCheck(
             level, nb_h, na_v, na_h, nb_v, nb_h == na_v and na_h == nb_v
         )
     else:
         n_above = fiber_count_above(m, k, pot, geo.e_max + tol, grid)
-    rhs = count_above(geo.w_b, vspec, tol, mult)
+    rhs = count_above(geo.w_b, vspec, tol)
     cor_lhs = lhs + n_above
-    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol, mult)
+    cor_rhs = count_above(geo.w_b, np.abs(vspec), tol)
     return NeravenReport(
         geo.w_b, lhs, rhs, lhs >= rhs, cor_lhs, cor_rhs, cor_lhs >= cor_rhs, scalar_case
     )

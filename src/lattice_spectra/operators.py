@@ -150,21 +150,16 @@ def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
     return GridOperator(np.diag(diag), grid, "H0")
 
 
-def potential_spectrum(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Exact eigenvalue multiset of V as (values, multiplicities): the r
-    support values of v-hat, ascending, once each, then 0 with multiplicity
-    N^3 - r.
+def potential_spectrum(pot: Potential, grid: MomentumGrid) -> np.ndarray:
+    """The nonzero eigenvalues of V: the r support values of v-hat,
+    ascending.  V's other N^3 - r eigenvalues are 0, which no count the
+    theorems ask for includes, so they are not listed.
 
     V is v-hat on the centered box of N^3 lattice sites, and with
-    N >= 2R + 1 the box holds every supported site exactly once.  Pass
-    the multiplicities to ``count_below``/``count_above``; no N^3 array
-    is formed.
+    N >= 2R + 1 the box holds every supported site exactly once.
     """
     _require_grid_fits(pot, grid)
-    support = np.sort(np.fromiter(pot.entries.values(), float, len(pot.entries)))
-    mult = np.ones(support.size + 1, dtype=np.int64)
-    mult[-1] = grid.dim - support.size
-    return np.append(support, 0.0), mult
+    return np.sort(np.fromiter(pot.entries.values(), float, len(pot.entries)))
 
 
 # An axis factor of E counts as parity-even when e_j(q_j) and e_j(-q_j)

@@ -17,7 +17,7 @@ are checked for finiteness only (``_check_finite``).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -166,30 +166,14 @@ def default_tie_tol(eigenvalues: Sequence[float]) -> float:
     return 1e-9 * max(1.0, scale)
 
 
-def _count(mask: np.ndarray, multiplicity: Optional[Sequence[int]]) -> int:
-    if multiplicity is None:
-        return int(np.count_nonzero(mask))
-    return int(np.asarray(multiplicity)[mask].sum())
+def count_below(mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0) -> int:
+    """Number of eigenvalues strictly below mu - tie_tol."""
+    return int(np.count_nonzero(np.asarray(eigenvalues, dtype=float) < mu - tie_tol))
 
 
-def count_below(
-    mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0,
-    multiplicity: Optional[Sequence[int]] = None,
-) -> int:
-    """Number of eigenvalues strictly below mu - tie_tol, eigenvalue i
-    counted multiplicity[i] times when multiplicities are given."""
-    arr = np.asarray(eigenvalues, dtype=float)
-    return _count(arr < mu - tie_tol, multiplicity)
-
-
-def count_above(
-    mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0,
-    multiplicity: Optional[Sequence[int]] = None,
-) -> int:
-    """Number of eigenvalues strictly above mu + tie_tol, eigenvalue i
-    counted multiplicity[i] times when multiplicities are given."""
-    arr = np.asarray(eigenvalues, dtype=float)
-    return _count(arr > mu + tie_tol, multiplicity)
+def count_above(mu: float, eigenvalues: Sequence[float], tie_tol: float = 0.0) -> int:
+    """Number of eigenvalues strictly above mu + tie_tol."""
+    return int(np.count_nonzero(np.asarray(eigenvalues, dtype=float) > mu + tie_tol))
 
 
 class CountingCheck(namedtuple("CountingCheck", "m_a big_m_a width lhs rhs holds mirrored_lhs "

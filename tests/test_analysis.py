@@ -449,7 +449,7 @@ class TestNeraven:
 
     @pytest.mark.parametrize("m, k", [(M11, k_pi()), (MassPair(1.0, 2.5), Quasimomentum(0.3, -1.1, 2.0))])
     def test_n64_allocates_no_n3_array(self, m, k):
-        # the potential spectrum is r values and a zero multiplicity, and the
+        # the potential spectrum is its r support values, and the
         # counts outside the band stream the Gram: the traced peak stays
         # below one float64 array of N^3 entries
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -1.0})

@@ -64,8 +64,9 @@ def block_rows(m, k, pot, grid):
 
 
 def spectrum_multiset(pot, grid):
-    """``potential_spectrum`` expanded to its N^3 eigenvalues, ascending."""
-    return np.sort(np.repeat(*potential_spectrum(pot, grid)))
+    """``potential_spectrum`` padded with V's N^3 - r zeros, ascending."""
+    values = potential_spectrum(pot, grid)
+    return np.sort(np.concatenate([values, np.zeros(grid.dim - values.size)]))
 
 
 def test_dense_oracles_are_not_library_api():
@@ -156,8 +157,8 @@ class TestBuildV:
 
 class TestPotentialSpectrum:
     def test_point(self):
-        values, mult = potential_spectrum(point_potential(2.0), MomentumGrid(3))
-        assert list(values) == [2.0, 0.0] and list(mult) == [1, 26]
+        values = potential_spectrum(point_potential(2.0), MomentumGrid(3))
+        assert list(values) == [2.0]
 
     def test_axis_pair(self):
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 1.0})
@@ -166,41 +167,35 @@ class TestPotentialSpectrum:
 
     def test_positive_count(self):
         pot = Potential({(1, 0, 0): 3.0, (0, 1, 0): 1.0})
-        values, mult = potential_spectrum(pot, MomentumGrid(5))
-        assert count_above(0.0, values, 0.0, mult) == 4
+        values = potential_spectrum(pot, MomentumGrid(5))
+        assert count_above(0.0, values, 0.0) == 4
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_multiset_matches_position_box(self, n):
-        # r support values plus N^3 - r zeros is the box of N^3 values,
-        # odd and even N, whenever N >= 2R + 1
+        # the r support values, ascending, are the nonzero values of the box
+        # of N^3, and with N^3 - r zeros the whole box, odd and even N,
+        # whenever N >= 2R + 1
         rng = np.random.default_rng(n)
         for radius in range(1, (n - 1) // 2 + 1):
             for nonnegative in (True, False):
                 pot = random_potential(rng, radius=radius, nonnegative=nonnegative)
                 grid = MomentumGrid(n, float(rng.uniform(0, 1)))
-                values, mult = potential_spectrum(pot, grid)
-                assert values.size == len(pot.entries) + 1 and mult.sum() == n**3
-                assert np.array_equal(np.sort(np.repeat(values, mult)),
-                                      position_box_values(pot, grid))
+                values = potential_spectrum(pot, grid)
+                box = position_box_values(pot, grid)
+                assert values.size == len(pot.entries)
+                assert np.array_equal(values, box[box != 0.0])
+                assert np.array_equal(spectrum_multiset(pot, grid), box)
 
     def test_full_box_has_no_zero(self):
         span = range(-1, 2)
         pot = Potential({(a, b, c): 1.0 for a in span for b in span for c in span})
-        values, mult = potential_spectrum(pot, MomentumGrid(3))
-        assert list(mult) == [1] * 27 + [0]
-        assert count_below(0.5, values, 0.0, mult) == 0
+        values = potential_spectrum(pot, MomentumGrid(3))
+        assert list(values) == [1.0] * 27
+        assert count_below(0.5, values, 0.0) == 0
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
             potential_spectrum(Potential({(2, 0, 0): 1.0}), MomentumGrid(4))
-
-    def test_multiset_counts(self):
-        # each value counts as often as its multiplicity, on both sides
-        values, mult = np.array([-1.0, 0.5, 0.0]), np.array([1, 2, 5])
-        assert count_below(0.0, values, 0.0, mult) == 1
-        assert count_above(0.0, values, 0.0, mult) == 2
-        assert count_below(0.6, values, 0.0, mult) == 8
-        assert count_above(-1.0, values, 0.1, mult) == 7
 
 
 class TestBuildH:
