@@ -442,8 +442,8 @@ class NeravenReport(namedtuple("NeravenReport", "w_b lhs rhs holds corollary_lhs
 
 def flat_band_level(m: MassPair, k: Quasimomentum) -> Optional[float]:
     """6/m on the flat band, where H0(k) is 6/m times the identity (equal
-    masses at k = (pi, pi, pi)) and spec H(k) is 6/m minus the potential
-    spectrum exactly; None elsewhere."""
+    masses at k = (pi, pi, pi)) and spec H(k) is 6/m minus that of V
+    exactly; None elsewhere."""
     if m.equal_masses() and all(abs(kj - math.pi) <= 1e-12 for kj in k.components):
         return 6.0 / m.m1
     return None

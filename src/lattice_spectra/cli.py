@@ -18,13 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, sampling
+from . import analysis, operators, sampling
 from .dispersion import band_geometry
 from .errors import InputError, NumericalFailure
 from .model import (
     MassPair,
     MomentumGrid,
     Quasimomentum,
+    _echo,
     load_potential,
 )
 from .parallel import parallel_map
@@ -61,6 +62,11 @@ def _quasimomentum(components) -> Quasimomentum:
         raise ConfigError(f"bad quasi-momentum: {exc}") from exc
 
 
+# Bytes one k-path point takes while the path is parsed: the tracemalloc
+# peak of ``_parse_k_path`` is 16.0 MB at 10^5 points.
+K_PATH_POINT_BYTES = 160
+
+
 def _parse_k_path(text: str) -> list[Quasimomentum]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -73,6 +79,8 @@ def _parse_k_path(text: str) -> list[Quasimomentum]:
         raise ConfigError(f"bad point count {parts[2]!r}") from exc
     if count < 2:
         raise ConfigError("k-path needs at least 2 points")
+    operators._require_fits(count * K_PATH_POINT_BYTES, f"--k-path count {_echo(count)}",
+                            ConfigError)
     ts = np.linspace(0.0, 1.0, count)
     return [_quasimomentum(start + t * (end - start)) for t in ts]
 
@@ -103,6 +111,8 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
         k_list.extend(_parse_k_path(args.k_path))
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:  # numpy's generators take none
+        raise ConfigError(f"--seed must be >= 0, got {_echo(args.seed)}")
     # the threshold tolerances stay below 1: at unit_tol >= 1 the zero
     # eigenvalues of G(0, 0) would count as unit ones, and at
     # overlap_tol >= 1 no eigenvector could overlap the kernel vector

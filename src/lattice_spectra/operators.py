@@ -125,22 +125,27 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _require_fits(need: float, what: str, grid: MomentumGrid) -> None:
-    """DenseTooLargeError unless need bytes fit in physical memory."""
+def _require_fits(need: int, what: str, error: type[Exception] = DenseTooLargeError) -> None:
+    """error unless need bytes, an exact int, fit in physical memory.  An
+    int compares with a float exactly however large, and past the float
+    range the GB figure is read off its logarithm."""
     have = _physical_memory()
     if need > have:
-        raise DenseTooLargeError(
-            f"{what} (grid N={grid.n_per_dim}) would take {need / 1e9:.3g} GB, "
-            f"more than the {have / 1e9:.3g} GB of physical memory"
-        )
+        try:
+            gb = f"{need / 1e9:.3g}"
+        except OverflowError:
+            exp = math.floor(math.log10(need))
+            gb = f"{10 ** (math.log10(need) - exp):.3g}e+{exp - 9}"
+        raise error(f"{what} would take {gb} GB, "
+                    f"more than the {have / 1e9:.3g} GB of physical memory")
 
 
 def _require_dense_fits(rows: int, grid: MomentumGrid, solved: bool = True) -> None:
     """DenseTooLargeError unless a dense rows x rows matrix, with the
     eigensolver's copy of it when it is solved, fits in physical memory."""
     copy = " and the eigensolver's copy of it" if solved else ""
-    _require_fits((2 if solved else 1) * 8.0 * rows**2,
-                  f"a dense {rows} x {rows} matrix{copy}", grid)
+    _require_fits((2 if solved else 1) * 8 * rows**2, f"a dense {_echo(rows)} x {_echo(rows)} "
+                  f"matrix{copy} (grid N={_echo(grid.n_per_dim)})")
 
 
 def build_h0(m: MassPair, k: Quasimomentum, grid: MomentumGrid) -> GridOperator:
@@ -190,6 +195,12 @@ def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
     ).ravel()
 
 
+# Past this many nodes per axis no machine holds a block of H(k) (at least
+# ceil(N^3 / 2) rows, 4.6e18 bytes with its solver's copy at N = 1024), and
+# ``_fiber_parts`` refuses it on that bound before the O(N) axis factors.
+DENSE_MAX_N = 1 << 10
+
+
 def _fiber_parts(
     m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
@@ -210,6 +221,8 @@ def _fiber_parts(
     do not fit in memory, before any N^3 array is built.
     """
     _require_grid_fits(pot, grid)
+    if grid.n_per_dim > DENSE_MAX_N:
+        _require_dense_fits(-(-grid.dim // 2), grid)
     factors = _axis_factors(m, k, grid)
     tol = PARITY_TOL * max(1.0, _sampled_band(factors)[1])
     axis = _axis_mirror(grid)
@@ -509,7 +522,8 @@ def _require_gram_fits(grid: MomentumGrid) -> None:
     in physical memory: its N x N table of e_1 + e_2 and one slab of E,
     counted unfolded.  Checked before any array of the grid is formed."""
     n = grid.n_per_dim
-    _require_fits(8.0 * (n * n + max(n * n, GRAM_SLAB_NODES)), "the Gram's planes of E", grid)
+    _require_fits(8 * (n * n + max(n * n, GRAM_SLAB_NODES)),
+                  f"the Gram's planes of E (grid N={_echo(n)})")
 
 
 def _gram(

@@ -1,12 +1,13 @@
 """Tests for the theorem-level analysis operations."""
 
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lattice_spectra import (
@@ -541,3 +542,38 @@ class TestContinuity:
         dense = [np.linalg.norm(g_thr - build_bs(m, k, pot, e_min - d, grid).matrix, 2)
                  for d in rep.deltas]
         assert np.allclose(rep.norms, dense, rtol=1e-9, atol=0.0)
+
+
+# One site of each +-pair of the radius-1 ball, the origin included.
+RADIUS_ONE_SITES = [s for s in itertools.product((-1, 0, 1), repeat=3)
+                    if s >= tuple(-c for c in s)]
+
+
+@st.composite
+def radius_one_potentials(draw):
+    """A nonempty signed or nonnegative potential of radius 1 with every
+    |v| >= 1e-6."""
+    sign = st.sampled_from([1.0, -1.0]) if draw(st.booleans()) else st.just(1.0)
+    sites = draw(st.lists(st.sampled_from(RADIUS_ONE_SITES), min_size=1, unique=True))
+    return Potential({s: draw(sign) * draw(st.floats(1e-6, 10.0)) for s in sites})
+
+
+class TestFlatBandCountsNoZeroOfV:
+    """On the flat band spec H(k) is 6/m - spec V, and V's N^3 - r zeros sit
+    at the level 6/m, where band_geometry's e_min and e_max can lie one ulp
+    away: at any tie band the zeros count on neither side."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.floats(0.1, 10.0), n=st.sampled_from([3, 4, 5]),
+           offset=st.sampled_from([0.0, 0.5]), pot=radius_one_potentials(),
+           tie=st.floats(-300.0, -9.0).map(lambda e: 10.0**e))
+    # e_min one ulp above 6/m, and e_max one ulp below it
+    @example(m=1.1030927835051547, n=4, offset=0.5, pot=point_potential(8.0), tie=1e-16)
+    @example(m=0.7142857142857143, n=4, offset=0.5, pot=point_potential(8.0), tie=1e-16)
+    def test_counts_are_the_site_values(self, m, n, offset, pot, tie):
+        masses, grid = MassPair(m, m), MomentumGrid(n, offset)
+        positive = sum(v > 0.0 for v in pot.entries.values())
+        assert analysis.count_below_band(masses, k_pi(), pot, grid, tie) == positive
+        rep = verify_neraven(masses, k_pi(), pot, grid, tie)
+        assert (rep.lhs, rep.corollary_lhs) == (positive, len(pot.entries))
+        assert rep.all_ok

@@ -780,3 +780,88 @@ class TestDeeplyNestedPotentialFile:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
         assert len(proc.stderr) <= len(f"error: {message}\n") + model.ECHO_CHARS
+
+
+K_PI = ",".join([repr(math.pi)] * 3)
+
+
+class TestFlatBandCountsNoZeroOfV:
+    """Equal masses at k = (pi, pi, pi): V's N^3 - r zeros sit at the level
+    6/m, one ulp from e_min or e_max, and count on neither side."""
+
+    @pytest.mark.parametrize("mass", ["1.1030927835051547", "0.7142857142857143"])
+    def test_counts_match_the_dense_spectrum(self, capsys, point_pot_file, mass):
+        args = ("--masses", f"{mass},{mass}", "--potential", point_pot_file, "--grid", "4",
+                "--k", K_PI, "--tie-tol", "1e-16")
+        code, out, _ = run(capsys, "spectrum", *args)
+        assert code == 0
+        dense = json.loads(out)["spectrum"][0]
+        assert (dense["n_below_band"], dense["n_above_band"]) == (1, 0)
+        code, out, _ = run(capsys, "verify", "--suite", "threshold,neraven", *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["threshold"]["records"][0]["direct_n_below"] == 1
+        rec = doc["neraven"]["records"][0]
+        assert (rec["lhs"], rec["corollary_lhs"]) == (1, 1)
+
+    @pytest.mark.parametrize("k, code", [(K_PI, 0), ("0,0,0", 2)])
+    def test_neraven_at_more_nodes_than_int64_counts(self, capsys, point_pot_file, k, code):
+        # N^3 = 2.7e19: on the flat band no count needs N^3; at k = 0 the
+        # Gram's memory guard refuses the grid
+        got, out, err = run(capsys, "verify", "--suite", "neraven", "--potential",
+                            point_pot_file, "--grid", "3000000", "--k", k)
+        assert got == code
+        if code == 0:
+            rec = json.loads(out)["neraven"]["records"][0]
+            assert (rec["lhs"], rec["corollary_lhs"], rec["pass"]) == (1, 1, True)
+        else:
+            assert out == "" and err.startswith("error: the Gram's planes of E")
+            assert err.count("\n") == 1
+
+
+class TestRefusedBeforeAllocating:
+    """Input whose arrays could not be formed is exit 2 with one error line,
+    refused before any of them is built."""
+
+    def test_spectrum_grid_past_numpy_refused_before_the_axis_factors(
+            self, capsys, point_pot_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis array built before the guard")
+
+        monkeypatch.setattr(operators, "_axis_factors", refuse)
+        code, out, err = run(capsys, "spectrum", "--potential", point_pot_file,
+                             "--grid", str(10**20), "--k", "0,0,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a dense ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, message", [
+        ("spectrum", "a dense "), ("critical", "the Gram's planes of E")])
+    def test_grid_past_the_float_range(self, capsys, point_pot_file, monkeypatch,
+                                       command, message):
+        # 401 digits: every byte count is past the float range, and N is echoed cut
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis array built before the guard")
+
+        monkeypatch.setattr(operators, "_axis_factors", refuse)
+        k = ("--k", "0,0,0") if command == "spectrum" else ()
+        code, out, err = run(capsys, command, "--potential", point_pot_file,
+                             "--grid", "1" + "0" * 400, *k)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert " GB, more than the " in err and len(err) < 400
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "counting", "--trials", "1",
+                             "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("count, code", [(999, 0), (1000, 2), (10**20, 2)])
+    def test_k_path_past_physical_memory(self, capsys, monkeypatch, count, code):
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 999.0 * 160)
+        got, out, err = run(capsys, "band", "--k-path", f"0,0,0:1,1,1:{count}")
+        assert got == code
+        if code == 0:
+            assert len(json.loads(out)["band"]) == count
+        else:
+            assert out == "" and err.startswith(f"error: --k-path count {count} would take")
+            assert err.count("\n") == 1
