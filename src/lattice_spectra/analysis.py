@@ -303,13 +303,13 @@ def critical_coupling(
 # Positivity transfer
 
 
-class PositivityAtK(namedtuple("PositivityAtK", "k min_eigenvalue ok")):
-    """The lowest eigenvalue of H(k), and whether it is >= -pos_tol."""
+class PositivityAtK(namedtuple("PositivityAtK", "k n_negative ok")):
+    """n_-(-pos_tol, H(k)), the eigenvalues of H(k) below -pos_tol, and whether it is 0."""
 
     __slots__ = ()
 
 
-class PositivityReport(namedtuple("PositivityReport", "pos_tol min_eig_h0 per_k")):
+class PositivityReport(namedtuple("PositivityReport", "pos_tol per_k")):
     """Positivity transfer from H(0) to each listed k."""
 
     __slots__ = ()
@@ -326,20 +326,20 @@ def positivity_check(
     grid: MomentumGrid,
     pos_tol: Optional[float] = None,
 ) -> PositivityReport:
-    """Check that positivity of H(0) transfers to H(k) for each listed k."""
+    """Check that positivity of H(0) transfers to H(k) for each listed k: min
+    spec H(k) >= -pos_tol exactly when the r x r count ``fiber_count_below`` of
+    n_-(-pos_tol, H(k)) is 0, and -pos_tol < 0 lies below every sample of E.
+    pos_tol defaults to 1e-8 * max(1, scale), the scale of ``weyl_bracket`` at 0."""
     if not m.equal_masses():
         raise PreconditionError("positivity transfer requires equal masses")
-    eigs0 = fiber_eigenvalues(m, ZERO_K, pot, grid)
-    tol = 1e-8 * max(1.0, float(np.abs(eigs0).max())) if pos_tol is None else pos_tol
-    if eigs0[0] < -tol:
-        raise PreconditionError(
-            f"H(0) is not positive within tolerance (min eigenvalue {eigs0[0]})"
-        )
-    per_k = []
-    for k in k_list:
-        lo = float(fiber_eigenvalues(m, k, pot, grid)[0])
-        per_k.append(PositivityAtK(k.components, lo, lo >= -tol))
-    return PositivityReport(tol, float(eigs0[0]), tuple(per_k))
+    tol = 10.0 * default_tie_tol(weyl_bracket(m, ZERO_K, pot)) if pos_tol is None else pos_tol
+    if not 0.0 < _real(tol, "pos_tol") < math.inf:  # NaN fails too
+        raise InputError(f"pos_tol must be finite and > 0, got {tol}")
+    n0 = fiber_count_below(m, ZERO_K, pot, -tol, grid)
+    if n0:
+        raise PreconditionError(f"H(0) has {n0} eigenvalue(s) below -pos_tol = {-tol}")
+    counts = [(k, fiber_count_below(m, k, pot, -tol, grid)) for k in k_list]
+    return PositivityReport(tol, tuple(PositivityAtK(k.components, n, n == 0) for k, n in counts))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from lattice_spectra import (
     verify_cheksiz,
     verify_existence,
     verify_neraven,
+    weyl_bracket,
 )
 from lattice_spectra import analysis, cli, operators, spectral
 from lattice_spectra.cli import main
@@ -364,7 +365,7 @@ class TestPositivity:
     def test_empty_potential(self):
         rep = positivity_check(M11, Potential({}), [Quasimomentum(1.0, 0.2, -0.5)], MomentumGrid(5))
         assert rep.all_ok
-        assert rep.per_k[0].min_eigenvalue >= 0.0
+        assert rep.per_k[0].n_negative == 0
 
     def test_critical_point_interaction(self):
         grid = MomentumGrid(6)
@@ -383,6 +384,32 @@ class TestPositivity:
     def test_unequal_masses_rejected(self):
         with pytest.raises(PreconditionError):
             positivity_check(MassPair(1, 2), Potential({}), [K0], MomentumGrid(4))
+
+    def test_builds_no_dense_block(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense block build")
+
+        # by name, each present: a name that is gone fails here, not silently
+        for module, name in [(operators, "_fiber_parts"), (operators, "fiber_blocks"),
+                             (spectral, "fiber_blocks")]:
+            monkeypatch.setattr(module, name, refuse)
+        pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): 0.4, (0, 1, 1): -0.7})
+        ks = [K0, Quasimomentum(1.0, 0.2, -0.5), Quasimomentum(math.pi, 0.0, 0.0)]
+        rep = positivity_check(M11, pot, ks, MomentumGrid(6))
+        assert rep.all_ok and [r.n_negative for r in rep.per_k] == [0, 0, 0]
+
+    def test_default_tolerance_is_scaled_by_the_weyl_bracket(self):
+        # the Weyl bracket of H(0) is [0, 12 + 300], so pos_tol is 1e-8 * 312
+        rep = positivity_check(M11, point_potential(-300.0), [K0], MomentumGrid(4))
+        assert rep.pos_tol == pytest.approx(1e-8 * 312.0, rel=1e-15)
+        with pytest.raises(PreconditionError, match=r"H\(0\) has 1 eigenvalue\(s\) below"):
+            positivity_check(M11, point_potential(200.0), [K0], MomentumGrid(4))
+
+    @pytest.mark.parametrize("pos_tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_pos_tol_not_finite_and_positive_is_refused(self, pos_tol):
+        # at 0, z = 0 would sit on the node q = 0 of the offset-0 grid at k = 0
+        with pytest.raises(InputError, match="pos_tol must be finite and > 0"):
+            positivity_check(M11, point_potential(1.0), [K0], MomentumGrid(4, 0.0), pos_tol)
 
 
 class TestExistence:
@@ -577,3 +604,34 @@ class TestFlatBandCountsNoZeroOfV:
         rep = verify_neraven(masses, k_pi(), pot, grid, tie)
         assert (rep.lhs, rep.corollary_lhs) == (positive, len(pot.entries))
         assert rep.all_ok
+
+
+class TestPositivityCountsAreDenseCounts:
+    """``positivity_check`` counts n_-(-pos_tol, H(k)) in r-space; the dense
+    spectrum of H(k) must give the same verdicts and the same counts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.floats(0.3, 3.0), n=st.integers(3, 7), offset=st.sampled_from([0.0, 0.3, 0.5]),
+           pot=radius_one_potentials(), coupling=st.floats(0.0, 8.0),
+           ks=st.lists(st.tuples(*[st.floats(-math.pi, math.pi)] * 3), min_size=1, max_size=2),
+           rel_tol=st.floats(-15.0, -6.0).map(lambda e: 10.0**e))
+    def test_counts_match_the_dense_spectrum(self, m, n, offset, pot, coupling, ks, rel_tol):
+        masses, grid = MassPair(m, m), MomentumGrid(n, offset)
+        # the critical coupling scales like 1/m; this spans both sides of it
+        pot = pot.scaled(coupling / (m * max(abs(v) for v in pot.entries.values())))
+        ks = [K0, *(Quasimomentum(*c) for c in ks)]
+        tol = rel_tol * max(1.0, *map(abs, weyl_bracket(masses, K0, pot)))
+
+        def dense_count(k):
+            eigs = np.linalg.eigvalsh(build_h(masses, k, pot, grid).matrix)
+            return int(np.count_nonzero(eigs < -tol))
+
+        if dense_count(K0):
+            with pytest.raises(PreconditionError, match=r"H\(0\) has"):
+                positivity_check(masses, pot, ks, grid, tol)
+            return
+        rep = positivity_check(masses, pot, ks, grid, tol)
+        want = [dense_count(k) for k in ks]
+        assert rep.pos_tol == tol
+        assert [r.n_negative for r in rep.per_k] == want
+        assert [r.ok for r in rep.per_k] == [c == 0 for c in want]
