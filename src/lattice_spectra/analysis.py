@@ -537,13 +537,14 @@ def verify_cheksiz(
     pot: Potential,
     grid: MomentumGrid,
     schedule: ZSchedule = ZSchedule(),
+    tie_tol: Optional[float] = None,
 ) -> CheksizReport:
     """Lower bound on below-band eigenvalues from a collapsed band direction.
 
     When a directional band width vanishes, the number of eigenvalues below
     the band is at least the number of positive potential sites on that
-    axis; the Birman-Schwinger counts along the z-schedule must reach the
-    target and be non-decreasing.
+    axis; the Birman-Schwinger counts along the z-schedule, each with the
+    tie band tie_tol (``threshold_count``), must reach it and not decrease.
     """
     degen = degenerate_directions(m, k)
     if not degen:
@@ -557,7 +558,7 @@ def verify_cheksiz(
     )
     if not pot.is_nonnegative():
         raise PreconditionError("degenerate-direction count requires v-hat >= 0")
-    tc = threshold_count(m, k, pot, grid, schedule)
+    tc = threshold_count(m, k, pot, grid, schedule, tie_tol)
     geo = band_geometry(m, k)
     # E = (e_1 + e_2) + e_3 is constant along axis j when e_j is
     factors = _axis_factors(m, k, grid)

@@ -48,11 +48,11 @@ class ConfigError(InputError):
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {text!r}")
+        raise ConfigError(f"expected three comma-separated numbers, got {_echo(text)}")
     try:
         return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise ConfigError(f"bad number in {text!r}") from exc
+        raise ConfigError(f"bad number in {_echo(text)}") from exc
 
 
 def _quasimomentum(components) -> Quasimomentum:
@@ -70,13 +70,13 @@ K_PATH_POINT_BYTES = 160
 def _parse_k_path(text: str) -> list[Quasimomentum]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--k-path wants start:end:count, got {text!r}")
+        raise ConfigError(f"--k-path wants start:end:count, got {_echo(text)}")
     start = np.array(_parse_triple(parts[0]))
     end = np.array(_parse_triple(parts[1]))
     try:
         count = int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad point count {parts[2]!r}") from exc
+        raise ConfigError(f"bad point count {_echo(parts[2])}") from exc
     if count < 2:
         raise ConfigError("k-path needs at least 2 points")
     operators._require_fits(count * K_PATH_POINT_BYTES, f"--k-path count {_echo(count)}",
@@ -90,18 +90,20 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
     model objects, plus the k-points (k_list) and the z-schedule."""
     mp = args.masses.split(",")
     if len(mp) != 2:
-        raise ConfigError(f"--masses wants m1,m2, got {args.masses!r}")
+        raise ConfigError(f"--masses wants m1,m2, got {_echo(args.masses)}")
     try:
-        masses = MassPair(float(mp[0]), float(mp[1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        m1, m2 = float(mp[0]), float(mp[1])
+    except ValueError:
+        raise ConfigError(f"could not convert string to float: {_echo(args.masses)}") from None
+    masses = MassPair(m1, m2)
     pot = None
     if args.potential is not None:
         try:
             with open(args.potential, "rb") as fh:
                 pot = load_potential(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read potential file: {exc}") from exc
+            raise ConfigError(f"cannot read potential file: {exc.strerror}: "
+                              f"{_echo(args.potential)}") from exc
     elif need_potential:
         raise ConfigError("this command requires --potential")
     grid = MomentumGrid(args.grid, args.offset)
@@ -110,7 +112,7 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
     if args.trials is not None and args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        raise ConfigError(f"--trials must be >= 1, got {_echo(args.trials)}")
     if args.seed < 0:  # numpy's generators take none
         raise ConfigError(f"--seed must be >= 0, got {_echo(args.seed)}")
     # the threshold tolerances stay below 1: at unit_tol >= 1 the zero
@@ -286,7 +288,8 @@ def _suite_existence(cfg: argparse.Namespace) -> dict:
 
 @_per_k
 def _suite_cheksiz(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
-    rep = analysis.verify_cheksiz(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule)
+    rep = analysis.verify_cheksiz(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
+                                  cfg.tie_tol)
     return {**_jsonable(rep), "pass": rep.holds}
 
 
@@ -316,7 +319,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     names = cfg.suite.split(",") if cfg.suite != "all" else list(SUITES)
     for name in names:
         if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}")
+            raise ConfigError(f"unknown suite {_echo(name)}")
     report = {}
     all_pass = True
     for name in names:

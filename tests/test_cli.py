@@ -908,3 +908,53 @@ class TestRefusedBeforeAllocating:
         else:
             assert out == "" and err.startswith(f"error: --k-path count {count} would take")
             assert err.count("\n") == 1
+
+
+LONG = "x" * 3000
+
+
+class TestLongInputIsEchoedCut:
+    """Every refusal echoes the user's text through ``model._echo``: a
+    3000-character flag gives one short ``error:`` line that keeps the
+    message's prefix."""
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (("band", "--k-path", f"0,0,0:1,1,1:{LONG}"), "bad point count 'xxx"),
+        (("band", "--k-path", LONG), "--k-path wants start:end:count, got 'xxx"),
+        (("band", "--k", f"{LONG},0,0"), "bad number in 'xxx"),
+        (("band", "--k", LONG), "expected three comma-separated numbers, got 'xxx"),
+        (("band", "--masses", LONG), "--masses wants m1,m2, got 'xxx"),
+        (("band", "--masses", f"{LONG},1"), "could not convert string to float: 'xxx"),
+        (("verify", "--suite", LONG), "unknown suite 'xxx"),
+        (("verify", "--suite", "counting", "--trials", "-" + "9" * 3000),
+         "--trials must be >= 1, got -999"),
+        (("critical", "--potential", LONG), "cannot read potential file: "),
+    ], ids=["k-path-count", "k-path", "k-number", "k-triple", "masses-pair",
+            "masses-number", "suite", "trials", "potential-file"])
+    def test_one_short_line(self, capsys, argv, prefix):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+
+class TestCheksizTieBand:
+    """``verify --suite cheksiz`` takes ``--tie-tol`` as the threshold suite
+    does: for the point potential 8 at k = (pi, 0, 0) on N = 6 every
+    Birman-Schwinger eigenvalue along the schedule lies within 100 of 1."""
+
+    ARGS = ("--grid", "6", "--k", f"{math.pi!r},0,0")
+
+    @pytest.mark.parametrize("flag, counts, code", [
+        ((), [1] * 7, 0),
+        (("--tie-tol", "100"), [0] * 7, 1),
+    ])
+    def test_counts_match_the_threshold_suite(self, capsys, point_pot_file, flag, counts,
+                                              code):
+        got, out, _ = run(capsys, "verify", "--suite", "threshold,cheksiz", "--potential",
+                          point_pot_file, *self.ARGS, *flag)
+        doc = json.loads(out)
+        assert got == code
+        assert doc["threshold"]["records"][0]["counts"] == counts
+        assert doc["cheksiz"]["records"][0]["counts"] == counts
+        assert doc["cheksiz"]["pass"] is (code == 0)
