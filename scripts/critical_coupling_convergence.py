@@ -10,12 +10,16 @@ Usage: python3 scripts/critical_coupling_convergence.py [--sizes 4,6,8,12,16]
 """
 
 import argparse
+import math
 
 from lattice_spectra import MassPair, MomentumGrid, Potential, critical_coupling
 
-# quadrature value of the lattice resolvent integral at the band bottom
-# (see tests/conftest.py::watson_integral for the independent derivation)
-W3 = 0.5054620197470816
+# the lattice resolvent integral at the band bottom in the Glasser-Zucker
+# closed form, sqrt(6) / (96 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24)
+# Gamma(11/24) (Glasser & Zucker 1977; tests/conftest.py::watson_integral
+# is an independent quadrature of it)
+W3 = (math.sqrt(6.0) / (96.0 * math.pi**3)
+      * math.prod(math.gamma(a / 24.0) for a in (1, 5, 7, 11)))
 TARGET = 2.0 / W3
 
 

@@ -67,6 +67,14 @@ def scanned_band_edges(m: MassPair, k: Quasimomentum, n_scan: int = 10_000):
     return e_min, e_max
 
 
+def watson_closed_form() -> float:
+    """The simple-cubic Watson integral in the Glasser-Zucker closed form
+    (Glasser & Zucker 1977, PNAS 74, 1800):
+    W_3 = sqrt(6) / (96 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)."""
+    gammas = math.prod(math.gamma(a / 24.0) for a in (1, 5, 7, 11))
+    return math.sqrt(6.0) / (96.0 * math.pi**3) * gammas
+
+
 def watson_integral(n_quad_cap: float = np.inf) -> float:
     """Independent quadrature oracle for the simple-cubic Watson integral.
 

@@ -35,7 +35,13 @@ from lattice_spectra.sampling import (
     random_symmetric,
 )
 
-from conftest import k_pi, point_potential, scanned_band_edges, watson_integral
+from conftest import (
+    k_pi,
+    point_potential,
+    scanned_band_edges,
+    watson_closed_form,
+    watson_integral,
+)
 from oracles import build_h, continuity_exponent
 
 M11 = MassPair(1.0, 1.0)
@@ -123,6 +129,12 @@ def test_05_critical_coupling_vs_quadrature_oracle():
     ok = report("5 refined critical coupling vs lattice-resolvent quadrature",
                 max(errs) <= 1e-3, f"rel errors {errs[0]:.2e}, {errs[1]:.2e}")
     assert ok
+
+
+def test_watson_quadrature_matches_the_closed_form():
+    # the quadrature reads 5.9e-11 relative above the closed form
+    assert watson_closed_form() == pytest.approx(0.5054620197173261, rel=1e-15, abs=0)
+    assert watson_integral() == pytest.approx(watson_closed_form(), rel=1e-10, abs=0)
 
 
 EMERGENCE_KS = [
