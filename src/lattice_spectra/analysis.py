@@ -26,11 +26,9 @@ from .errors import (
 )
 from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _real
 from .operators import (
-    _axis_factors,
     _eigvalsh,
     _gram,
     _require_psd,
-    _sampled_band,
     bs_support_eigenvalues,
     fiber_count_above,
     fiber_count_below,
@@ -419,33 +417,26 @@ def verify_existence(
 # Band-width estimate
 
 
-class ScalarCaseCheck(namedtuple("ScalarCaseCheck", "level n_below_h n_above_v_zero n_above_h "
-                                   "n_below_v_zero equalities_hold")):
-    """The exact integer equalities on the flat band against its 6/m level."""
-
-    __slots__ = ()
-
-
 class NeravenReport(namedtuple("NeravenReport", "w_b lhs rhs holds corollary_lhs corollary_rhs "
-                                 "corollary_holds scalar_case")):
-    """The band-width estimate and its corollary; ``scalar_case`` is None off the flat band."""
+                                 "corollary_holds")):
+    """The band-width estimate and its corollary."""
 
     __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
-        ok = self.holds and self.corollary_holds
-        if self.scalar_case is not None:
-            ok = ok and self.scalar_case.equalities_hold
-        return ok
+        return self.holds and self.corollary_holds
 
 
-def flat_band_level(m: MassPair, k: Quasimomentum) -> Optional[float]:
-    """6/m on the flat band, where H0(k) is 6/m times the identity (equal
-    masses at k = (pi, pi, pi)) and spec H(k) is 6/m minus that of V
-    exactly; None elsewhere."""
+def flat_band_spectrum(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> Optional[np.ndarray]:
+    """6/m - spec V on the flat band, where H0(k) is 6/m times the identity
+    (equal masses at k = (pi, pi, pi)) and this is the spectrum of H(k)
+    exactly, less the N^3 - r eigenvalues 6/m on the band from V's zeros;
+    None elsewhere."""
     if m.equal_masses() and all(abs(kj - math.pi) <= 1e-12 for kj in k.components):
-        return 6.0 / m.m1
+        return 6.0 / m.m1 - potential_spectrum(pot, grid)
     return None
 
 
@@ -455,15 +446,15 @@ def count_below_band(
 ) -> int:
     """``count_below(e_min, spec H(k), tie_tol)`` without the dense H: the
     r x r inertia count ``fiber_count_below`` at e_min - tie_tol, or on the
-    flat band (``flat_band_level``) the count of its exact spectrum.  The
+    flat band the count of its exact spectrum (``flat_band_spectrum``).  The
     default tie band is ``default_tie_tol`` of ``weyl_bracket``, whose
     scale bounds every |eigenvalue| of H(k)."""
     e_min = band_geometry(m, k).e_min
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
-    level = flat_band_level(m, k)
-    if level is None:
+    spec = flat_band_spectrum(m, k, pot, grid)
+    if spec is None:
         return fiber_count_below(m, k, pot, e_min - tol, grid)
-    return count_below(e_min, level - potential_spectrum(pot, grid), tol)
+    return count_below(e_min, spec, tol)
 
 
 def verify_neraven(
@@ -473,62 +464,45 @@ def verify_neraven(
     grid: MomentumGrid,
     tie_tol: Optional[float] = None,
 ) -> NeravenReport:
-    """Band-width counting estimate plus its scalar-case exact equalities.
+    """Band-width counting estimate and its two-sided corollary.
 
     Checks n_-(e_min, H) >= n_+(w_b, V) against the exact potential
-    spectrum, the two-sided corollary with |V|, and, for equal masses at
-    k = (pi, pi, pi), the exact integer equalities against the 6/m level.
-    No dense H(k) and no N^3 array is built: the potential spectrum is its
-    r support values (``potential_spectrum``), as V's N^3 - r zeros sit at
-    0, at w_b >= 0 or at the flat level 6/m, which strict counts exclude.
-    The count below the band is ``count_below_band``, and the count above
-    it the r x r inertia count ``fiber_count_above`` at e_max + tie_tol,
-    or on the flat band (``flat_band_level``) the count of its exact
-    spectrum, with the same default tie band.
+    spectrum, and the corollary with |V|.  No dense H(k) and no N^3 array
+    is built: the potential spectrum is its r support values
+    (``potential_spectrum``), as V's N^3 - r zeros sit at 0 or at
+    w_b >= 0, which strict counts exclude.  The count below the band is
+    ``count_below_band``, and the count above it the r x r inertia count
+    ``fiber_count_above`` at e_max + tie_tol, or on the flat band the count
+    of its exact spectrum (``flat_band_spectrum``), with the same default
+    tie band.
     """
     geo = band_geometry(m, k)
     vspec = potential_spectrum(pot, grid)
     tol = default_tie_tol(weyl_bracket(m, k, pot)) if tie_tol is None else tie_tol
     lhs = count_below_band(m, k, pot, grid, tol)
-    scalar_case = None
-    level = flat_band_level(m, k)
-    if level is not None:
-        eigs_h = level - vspec
-        n_above = count_above(geo.e_max, eigs_h, tol)
-        nb_h = count_below(level, eigs_h, tol)
-        na_v = count_above(0.0, vspec, tol)
-        na_h = count_above(level, eigs_h, tol)
-        nb_v = count_below(0.0, vspec, tol)
-        scalar_case = ScalarCaseCheck(
-            level, nb_h, na_v, na_h, nb_v, nb_h == na_v and na_h == nb_v
-        )
-    else:
+    spec = flat_band_spectrum(m, k, pot, grid)
+    if spec is None:
         n_above = fiber_count_above(m, k, pot, geo.e_max + tol, grid)
+    else:
+        n_above = count_above(geo.e_max, spec, tol)
     rhs = count_above(geo.w_b, vspec, tol)
     cor_lhs = lhs + n_above
     cor_rhs = count_above(geo.w_b, np.abs(vspec), tol)
-    return NeravenReport(
-        geo.w_b, lhs, rhs, lhs >= rhs, cor_lhs, cor_rhs, cor_lhs >= cor_rhs, scalar_case
-    )
+    return NeravenReport(geo.w_b, lhs, rhs, lhs >= rhs, cor_lhs, cor_rhs, cor_lhs >= cor_rhs)
 
 
 # ---------------------------------------------------------------------------
 # Degenerate-direction lower bound
 
 
-class CheksizReport(namedtuple("CheksizReport", "axis target zs counts final_count monotone "
-                                 "w_jb_axis h0_constant_along_axis")):
+class CheksizReport(namedtuple("CheksizReport", "axis target zs counts final_count monotone")):
     """Counts along the z-schedule against the target of the 0-based degenerate ``axis``."""
 
     __slots__ = ()
 
     @property
     def holds(self) -> bool:
-        return (
-            self.final_count >= self.target
-            and self.monotone
-            and self.h0_constant_along_axis
-        )
+        return self.final_count >= self.target and self.monotone
 
 
 def verify_cheksiz(
@@ -559,10 +533,6 @@ def verify_cheksiz(
     if not pot.is_nonnegative():
         raise PreconditionError("degenerate-direction count requires v-hat >= 0")
     tc = threshold_count(m, k, pot, grid, schedule, tie_tol)
-    geo = band_geometry(m, k)
-    # E = (e_1 + e_2) + e_3 is constant along axis j when e_j is
-    factors = _axis_factors(m, k, grid)
-    const_along = float(np.ptp(factors[j])) <= 1e-12 * max(1.0, _sampled_band(factors)[1])
     monotone = all(a <= b for a, b in zip(tc.counts, tc.counts[1:]))
     return CheksizReport(
         axis=j,
@@ -571,6 +541,4 @@ def verify_cheksiz(
         counts=tc.counts,
         final_count=tc.counts[-1],
         monotone=monotone,
-        w_jb_axis=geo.w_jb[j],
-        h0_constant_along_axis=const_along,
     )

@@ -18,6 +18,7 @@ from lattice_spectra import (
     band_geometry,
     bs_check,
     bs_support_eigenvalues,
+    count_above,
     count_below,
     critical_coupling,
     default_tie_tol,
@@ -42,7 +43,7 @@ from conftest import (
     watson_closed_form,
     watson_integral,
 )
-from oracles import build_h, continuity_exponent
+from oracles import build_h, build_v, continuity_exponent
 
 M11 = MassPair(1.0, 1.0)
 
@@ -60,13 +61,14 @@ def test_01_scalar_case_exactness():
     eigs = eig_sym(build_h(M11, k_pi(), pot, grid))
     expected = np.sort(6.0 - np.array([2.0, -1.0, -1.0] + [0.0] * (5**3 - 3)))
     spectrum_ok = bool(np.allclose(np.sort(eigs), expected, atol=1e-9))
+    # n_-(6, H) = n_+(0, V) and n_+(6, H) = n_-(0, V), each side a count of
+    # a dense spectrum, and the library's counts below and outside the band
+    eigs_v = eig_sym(build_v(pot, grid))
+    tol = default_tie_tol(eigs)
+    ints = (count_below(6.0, eigs, tol), count_above(0.0, eigs_v, tol),
+            count_above(6.0, eigs, tol), count_below(0.0, eigs_v, tol))
     rep = verify_neraven(M11, k_pi(), pot, grid)
-    sc = rep.scalar_case
-    ints_ok = (
-        sc is not None
-        and sc.n_below_h == 1 and sc.n_above_v_zero == 1
-        and sc.n_above_h == 2 and sc.n_below_v_zero == 2
-    )
+    ints_ok = ints == (1, 1, 2, 2) and (rep.lhs, rep.corollary_lhs) == (1, 3) and rep.all_ok
     ok = report("1 scalar-case exact spectrum and integer equalities",
                 spectrum_ok and ints_ok)
     assert ok

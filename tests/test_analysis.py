@@ -43,7 +43,7 @@ from lattice_spectra.errors import (
 )
 
 from conftest import k_pi, point_potential
-from oracles import build_bs, build_h, continuity_exponent, dense_resonance_analysis
+from oracles import build_bs, build_h, build_v, continuity_exponent, dense_resonance_analysis
 
 K0 = Quasimomentum(0, 0, 0)
 M11 = MassPair(1, 1)
@@ -456,11 +456,12 @@ class TestExistence:
 class TestNeraven:
     def test_scalar_case_mixed_signs(self):
         pot = Potential({(0, 0, 0): 2.0, (1, 0, 0): -1.0})
-        rep = verify_neraven(M11, k_pi(), pot, MomentumGrid(5))
-        sc = rep.scalar_case
-        assert sc is not None
-        assert sc.n_below_h == 1 and sc.n_above_v_zero == 1
-        assert sc.n_above_h == 2 and sc.n_below_v_zero == 2
+        grid = MomentumGrid(5)
+        rep = verify_neraven(M11, k_pi(), pot, grid)
+        eigs = np.linalg.eigvalsh(build_h(M11, k_pi(), pot, grid).matrix)
+        tol = default_tie_tol(eigs)
+        assert (count_below(6.0, eigs, tol), count_above(6.0, eigs, tol)) == (1, 2)
+        assert (rep.lhs, rep.corollary_lhs) == (1, 3)
         assert rep.all_ok
 
     def test_deep_well_at_k_zero(self):
@@ -490,9 +491,8 @@ class TestNeraven:
             tracemalloc.stop()
         assert peak < 8 * grid.dim
         assert rep.all_ok
-        if rep.scalar_case is not None:
-            sc = rep.scalar_case
-            assert (sc.n_below_h, sc.n_above_v_zero, sc.n_above_h, sc.n_below_v_zero) == (1, 1, 2, 2)
+        if k == k_pi():  # the flat band: spec H(k) is 6 - {2, -1, -1} and zeros
+            assert (rep.lhs, rep.corollary_lhs) == (1, 3)
 
     def test_grid_suites_build_no_dense_matrix(self, monkeypatch, capsys, tmp_path):
         def refuse(*args, **kwargs):
@@ -522,8 +522,6 @@ class TestCheksiz:
         assert rep.target == 3
         assert rep.final_count >= 3
         assert rep.monotone
-        assert rep.w_jb_axis == pytest.approx(0.0, abs=1e-12)
-        assert rep.h0_constant_along_axis
         assert rep.holds
 
     def test_off_axis_support_is_vacuous(self):
@@ -604,6 +602,30 @@ class TestFlatBandCountsNoZeroOfV:
         rep = verify_neraven(masses, k_pi(), pot, grid, tie)
         assert (rep.lhs, rep.corollary_lhs) == (positive, len(pot.entries))
         assert rep.all_ok
+
+
+class TestFlatBandCountsAreDenseCounts:
+    """On the flat band neraven counts the exact spectrum 6/m - spec V
+    (``flat_band_spectrum``); the dense H(k) must give the same counts, and
+    the paper's scalar-case equalities n_-(6/m, H) = n_+(0, V) and
+    n_+(6/m, H) = n_-(0, V) must hold between the dense spectra."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.floats(0.5, 3.0), n=st.integers(3, 6), offset=st.sampled_from([0.0, 0.3, 0.5]),
+           pot=radius_one_potentials(), rel_tol=st.floats(-12.0, -3.0).map(lambda e: 10.0**e))
+    def test_counts_match_the_dense_spectrum(self, m, n, offset, pot, rel_tol):
+        masses, grid = MassPair(m, m), MomentumGrid(n, offset)
+        tol = rel_tol * max(1.0, *map(abs, weyl_bracket(masses, k_pi(), pot)))
+        eigs_h = np.linalg.eigvalsh(build_h(masses, k_pi(), pot, grid).matrix)
+        eigs_v = np.linalg.eigvalsh(build_v(pot, grid).matrix)
+        geo = band_geometry(masses, k_pi())
+        rep = verify_neraven(masses, k_pi(), pot, grid, tol)
+        lhs = count_below(geo.e_min, eigs_h, tol)
+        assert rep.lhs == lhs
+        assert rep.corollary_lhs == lhs + count_above(geo.e_max, eigs_h, tol)
+        level = 6.0 / m
+        assert count_below(level, eigs_h, tol) == count_above(0.0, eigs_v, tol)
+        assert count_above(level, eigs_h, tol) == count_below(0.0, eigs_v, tol)
 
 
 class TestPositivityCountsAreDenseCounts:

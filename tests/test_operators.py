@@ -471,7 +471,7 @@ class TestStreamedGram:
         analysis.threshold_count(m, k, pot, grid)
         rep = analysis.verify_cheksiz(MassPair(1.0, 1.0), Quasimomentum(math.pi, 0.4, 0.2),
                                       pot, grid)
-        assert rep.h0_constant_along_axis
+        assert rep.axis == 0
 
 
 @st.composite
