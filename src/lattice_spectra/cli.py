@@ -22,6 +22,7 @@ from . import analysis, operators, sampling
 from .dispersion import band_geometry
 from .errors import InputError, NumericalFailure
 from .model import (
+    ECHO_CHARS,
     MassPair,
     MomentumGrid,
     Quasimomentum,
@@ -62,8 +63,9 @@ def _quasimomentum(components) -> Quasimomentum:
         raise ConfigError(f"bad quasi-momentum: {exc}") from exc
 
 
-# Bytes one k-path point takes while the path is parsed: the tracemalloc
-# peak of ``_parse_k_path`` is 16.0 MB at 10^5 points.
+# Bytes one k-point takes while a k-path is parsed or random k are drawn:
+# the tracemalloc peaks of ``_parse_k_path`` and of the positivity draws
+# are 16.0 and 15.2 MB at 10^5 points.
 K_PATH_POINT_BYTES = 160
 
 
@@ -298,6 +300,8 @@ def _suite_positivity(cfg: argparse.Namespace) -> dict:
     if not ks:
         rng = np.random.default_rng(cfg.seed)
         trials = 20 if cfg.trials is None else cfg.trials
+        operators._require_fits(trials * K_PATH_POINT_BYTES, f"--trials {_echo(trials)}",
+                                ConfigError)
         ks = [sampling.random_quasimomentum(rng) for _ in range(trials)]
     rep = analysis.positivity_check(cfg.masses, cfg.potential, ks, cfg.grid, cfg.pos_tol)
     return {**_jsonable(rep), "pass": rep.all_ok}
@@ -408,11 +412,29 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors cut each command-line word they
+    echo, whole, as a repr or past the "=" of --flag=value, as ``model._echo``
+    does.  The subparsers are of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._words = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        parts = {p for w in self._words for p in (w, w.partition("=")[2])}
+        # longest first: a word is cut before the value inside it
+        for part in sorted(parts, key=len, reverse=True):
+            if len(part) > ECHO_CHARS:
+                message = message.replace(repr(part), _echo(part)).replace(part, _echo(part))
+        super().error(message)
+
+
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, listed by the top-level ``--help``.
     Only the subparser named ``command`` gets its arguments, or each of
     them when ``command`` is None: a process parses one subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lattice-spectra",
         description="Band geometry, spectra and theorem checks for two-particle "
         "lattice Schroedinger operators.",

@@ -909,6 +909,19 @@ class TestRefusedBeforeAllocating:
             assert out == "" and err.startswith(f"error: --k-path count {count} would take")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (("verify", "--suite", "threshold", "--grid", "4", "--k", "0,0,0",
+          "--z-steps", str(10**15)), f"error: a z-schedule of {10**15} steps would take"),
+        (("verify", "--suite", "positivity", "--trials", str(10**15)),
+         f"error: --trials {10**15} would take"),
+    ], ids=["z-steps", "trials"])
+    def test_counts_past_physical_memory(self, capsys, point_pot_file, argv, prefix):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--potential", point_pot_file)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+
 
 LONG = "x" * 3000
 
@@ -936,6 +949,28 @@ class TestLongInputIsEchoedCut:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
         assert len(err.encode()) < 200
+
+
+class TestUsageErrorIsEchoedCut:
+    """argparse's own usage errors echo a 3000-character word cut as
+    ``model._echo`` cuts it: exit 2, nothing on stdout, and a short
+    ``error:`` line after the usage."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "counting", "--trials", LONG),
+        ("band", "--k", "0,0,0", "--" + LONG),
+        (LONG,),
+        ("plotdata", "--quantity", LONG, "--k", "0,0,0"),
+    ], ids=["trials-value", "unknown-flag", "subcommand", "quantity-choice"])
+    def test_one_short_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        line = captured.err.splitlines()[-1]
+        assert "error: " in line and "xxx..." in line
+        assert len(line.encode()) <= 200
 
 
 class TestCheksizTieBand:
