@@ -36,13 +36,7 @@ from .operators import (
     potential_spectrum,
     weyl_bracket,
 )
-from .spectral import (
-    count_above,
-    count_below,
-    default_tie_tol,
-    fiber_count_below_dense,
-    fiber_eigenvalues,
-)
+from .spectral import count_above, count_below, default_tie_tol, fiber_count_below_dense
 
 ZERO_K = Quasimomentum(0.0, 0.0, 0.0)
 
@@ -325,6 +319,16 @@ class PositivityReport(namedtuple("PositivityReport", "pos_tol per_k")):
         return all(r.ok for r in self.per_k)
 
 
+def _pos_tol(m: MassPair, pot: Potential, pos_tol: Optional[float]) -> float:
+    """pos_tol, by default 10 * ``default_tie_tol`` of ``weyl_bracket`` at k = 0,
+    whose scale bounds the one at every k (e_min(k) >= e_min(0) = 0 and
+    e_max(k) <= e_max(0)); one not finite and > 0 is an InputError."""
+    tol = 10.0 * default_tie_tol(weyl_bracket(m, ZERO_K, pot)) if pos_tol is None else pos_tol
+    if not 0.0 < _real(tol, "pos_tol") < math.inf:  # NaN fails too
+        raise InputError(f"pos_tol must be finite and > 0, got {tol}")
+    return tol
+
+
 def positivity_check(
     m: MassPair,
     pot: Potential,
@@ -333,14 +337,12 @@ def positivity_check(
     pos_tol: Optional[float] = None,
 ) -> PositivityReport:
     """Check that positivity of H(0) transfers to H(k) for each listed k: min
-    spec H(k) >= -pos_tol exactly when the r x r count ``fiber_count_below`` of
-    n_-(-pos_tol, H(k)) is 0, and -pos_tol < 0 lies below every sample of E.
-    pos_tol defaults to 1e-8 * max(1, scale), the scale of ``weyl_bracket`` at 0."""
+    spec H(k) >= -pos_tol (default ``_pos_tol``) exactly when the r x r count
+    ``fiber_count_below`` of n_-(-pos_tol, H(k)) is 0, and -pos_tol < 0 lies
+    below every sample of E."""
     if not m.equal_masses():
         raise PreconditionError("positivity transfer requires equal masses")
-    tol = 10.0 * default_tie_tol(weyl_bracket(m, ZERO_K, pot)) if pos_tol is None else pos_tol
-    if not 0.0 < _real(tol, "pos_tol") < math.inf:  # NaN fails too
-        raise InputError(f"pos_tol must be finite and > 0, got {tol}")
+    tol = _pos_tol(m, pot, pos_tol)
     n0 = fiber_count_below(m, ZERO_K, pot, -tol, grid)
     if n0:
         raise PreconditionError(f"H(0) has {n0} eigenvalue(s) below -pos_tol = {-tol}")
@@ -352,13 +354,13 @@ def positivity_check(
 # Eigenvalue emergence below the band
 
 
-class EmergenceAtK(namedtuple("EmergenceAtK", "k e_min count below_band count_ok nonneg_ok")):
-    """The below-band eigenvalues of H(k), their count and their signs checked."""
+class EmergenceAtK(namedtuple("EmergenceAtK", "k e_min count n_negative count_ok nonneg_ok")):
+    """The count of H(k) below the band and n_-(-pos_tol, H(k)), checked."""
 
     __slots__ = ()
 
 
-class ExistenceReport(namedtuple("ExistenceReport", "threshold required per_k")):
+class ExistenceReport(namedtuple("ExistenceReport", "threshold required pos_tol per_k")):
     """The threshold state of H(0), the below-band count it requires, each k."""
 
     __slots__ = ()
@@ -385,8 +387,11 @@ def verify_existence(
     the resonance), all nonnegative.  The theorem assumes H(0) >= 0: a
     Gram eigenvalue of G(0, 0) above 1 + unit_tol (a negative eigenvalue of
     H(0), by Birman-Schwinger at z = 0) is a PreconditionError, as is the
-    absence of a threshold state.
+    absence of a threshold state.  Both checks are r x r counts: n_- below
+    the band (``count_below_band``), and n_-(-pos_tol, H(k)) (default
+    ``_pos_tol``), which must be 0; E >= 0 puts those below the band too.
     """
+    ptol = _pos_tol(m, pot, pos_tol)
     threshold = resonance_analysis(m, pot, grid, unit_tol, overlap_tol)
     if threshold.lambda_max > 1.0 + unit_tol:
         # Birman-Schwinger at z = 0, below the band: every eigenvalue of
@@ -403,22 +408,11 @@ def verify_existence(
     required = threshold.multiplicity + (1 if threshold.has_resonance else 0)
     per_k = []
     for k in k_list:
-        geo = band_geometry(m, k)
-        eigs = fiber_eigenvalues(m, k, pot, grid)
-        tol = default_tie_tol(eigs) if tie_tol is None else tie_tol
-        ptol = 1e-8 * max(1.0, float(np.abs(eigs).max())) if pos_tol is None else pos_tol
-        below = tuple(float(x) for x in eigs[eigs < geo.e_min - tol])
-        per_k.append(
-            EmergenceAtK(
-                k=k.components,
-                e_min=geo.e_min,
-                count=len(below),
-                below_band=below,
-                count_ok=len(below) >= required,
-                nonneg_ok=all(x >= -ptol for x in below),
-            )
-        )
-    return ExistenceReport(threshold, required, tuple(per_k))
+        count = count_below_band(m, k, pot, grid, tie_tol)
+        n_negative = fiber_count_below(m, k, pot, -ptol, grid)
+        per_k.append(EmergenceAtK(k.components, band_geometry(m, k).e_min, count, n_negative,
+                                  count >= required, n_negative == 0))
+    return ExistenceReport(threshold, required, ptol, tuple(per_k))
 
 
 # ---------------------------------------------------------------------------

@@ -416,16 +416,19 @@ class TestExistence:
     def test_resonance_gives_emergence(self):
         grid = MomentumGrid(8)
         lam_star = critical_coupling(M11, point_potential(1.0), grid).lambda_star
-        rep = verify_existence(
-            M11, point_potential(lam_star),
-            [Quasimomentum(math.pi / 2, math.pi / 2, math.pi / 2)], grid,
-        )
+        k = Quasimomentum(math.pi / 2, math.pi / 2, math.pi / 2)
+        rep = verify_existence(M11, point_potential(lam_star), [k], grid)
         assert rep.required == 1
         assert rep.all_ok
         at_k = rep.per_k[0]
         assert at_k.count >= 1
-        assert all(x >= -1e-8 for x in at_k.below_band)
-        assert all(x < at_k.e_min for x in at_k.below_band)
+        # the report holds counts only; the eigenvalues are the dense spectrum's
+        eigs = spectral.fiber_eigenvalues(M11, k, point_potential(lam_star), grid)
+        below_band = eigs[eigs < at_k.e_min - default_tie_tol(eigs)]
+        assert at_k.count == len(below_band)
+        assert at_k.n_negative == count_below(0.0, eigs, rep.pos_tol)
+        assert all(x >= -1e-8 for x in below_band)
+        assert all(x < at_k.e_min for x in below_band)
 
     def test_deep_subcritical_has_no_threshold_state(self):
         grid = MomentumGrid(8)
@@ -449,7 +452,14 @@ class TestExistence:
         lam_star = critical_coupling(M11, point_potential(1.0), grid).lambda_star
         ks = [Quasimomentum(t, 0, 0) for t in (2.0, 1.0, 0.5)]
         rep = verify_existence(M11, point_potential(lam_star), ks, grid)
-        gaps = [r.e_min - max(r.below_band) for r in rep.per_k if r.below_band]
+        gaps = []
+        for k, r in zip(ks, rep.per_k):
+            eigs = spectral.fiber_eigenvalues(M11, k, point_potential(lam_star), grid)
+            below_band = eigs[eigs < r.e_min - default_tie_tol(eigs)]
+            assert r.count == len(below_band)
+            assert r.n_negative == count_below(0.0, eigs, rep.pos_tol)
+            if len(below_band):
+                gaps.append(r.e_min - max(below_band))
         assert gaps == sorted(gaps, reverse=True)
 
 
