@@ -157,8 +157,11 @@ def _jsonable(obj):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc.strerror}: {_echo(out)}") from exc
     else:
         sys.stdout.write(text)
 
@@ -415,7 +418,8 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors cut each command-line word they
     echo, whole, as a repr or past the "=" of --flag=value, as ``model._echo``
-    does.  The subparsers are of this class too."""
+    does, and then the list of unrecognized words, which joins them all.  The
+    subparsers are of this class too."""
 
     def parse_known_args(self, args=None, namespace=None):
         self._words = sys.argv[1:] if args is None else list(args)
@@ -427,6 +431,9 @@ class _Parser(argparse.ArgumentParser):
         for part in sorted(parts, key=len, reverse=True):
             if len(part) > ECHO_CHARS:
                 message = message.replace(repr(part), _echo(part)).replace(part, _echo(part))
+        head, sep, words = message.partition("unrecognized arguments: ")
+        if len(words) > ECHO_CHARS:
+            message = head + sep + words[: ECHO_CHARS - 3] + "..."
         super().error(message)
 
 

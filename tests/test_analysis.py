@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -636,6 +637,38 @@ class TestFlatBandCountsAreDenseCounts:
         level = 6.0 / m
         assert count_below(level, eigs_h, tol) == count_above(0.0, eigs_v, tol)
         assert count_above(level, eigs_h, tol) == count_below(0.0, eigs_v, tol)
+
+
+class TestExistenceCountsAreDenseCounts:
+    """``verify_existence`` counts each k in r-space: n_- below the band, and
+    n_-(-pos_tol, H(k)); the dense spectrum of H(k) must give both counts.
+    Its premise, a threshold state of H(0), needs a tuned coupling that no
+    draw hits, so the classification is stubbed with a resonance: both
+    counts are defined for every H(k)."""
+
+    RESONANCE = analysis.ThresholdReport(1.0, (), "resonance", 0, False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(masses=st.one_of(st.floats(0.5, 3.0).map(lambda m: MassPair(m, m)),
+                            st.builds(MassPair, st.floats(0.5, 3.0), st.floats(0.5, 3.0))),
+           n=st.integers(3, 6), offset=st.sampled_from([0.0, 0.3, 0.5]),
+           pot=radius_one_potentials(), coupling=st.floats(0.3, 3.0),
+           ks=st.lists(st.tuples(*[st.floats(-math.pi, math.pi)] * 3), min_size=1, max_size=2),
+           rel_tie=st.floats(-12.0, -3.0).map(lambda e: 10.0**e),
+           rel_pos=st.floats(-12.0, -3.0).map(lambda e: 10.0**e))
+    def test_counts_match_the_dense_spectrum(self, masses, n, offset, pot, coupling, ks,
+                                             rel_tie, rel_pos):
+        grid, pot = MomentumGrid(n, offset), pot.scaled(coupling)
+        ks = [K0, *(Quasimomentum(*c) for c in ks)]
+        scale = max(1.0, *map(abs, weyl_bracket(masses, K0, pot)))
+        tie_tol, pos_tol = rel_tie * scale, rel_pos * scale
+        with mock.patch.object(analysis, "resonance_analysis", lambda *args: self.RESONANCE):
+            rep = verify_existence(masses, pot, ks, grid, pos_tol=pos_tol, tie_tol=tie_tol)
+        assert rep.pos_tol == pos_tol
+        for k, at_k in zip(ks, rep.per_k):
+            eigs = np.linalg.eigvalsh(build_h(masses, k, pot, grid).matrix)
+            assert at_k.count == count_below(band_geometry(masses, k).e_min, eigs, tie_tol)
+            assert at_k.n_negative == count_below(0.0, eigs, pos_tol)
 
 
 class TestPositivityCountsAreDenseCounts:

@@ -802,6 +802,32 @@ class TestPositivityAtAnyGrid:
         assert err.startswith("error: H(0) has 1 eigenvalue(s) below -pos_tol = ")
 
 
+class TestExistenceAtAnyGrid:
+    """The existence suite counts in r-space too, so the point potential at
+    N = 64's critical coupling, whose dense H(k) would need 275 GB, runs in
+    well under a second."""
+
+    def test_critical_point_potential(self, capsys, tmp_path):
+        unit = tmp_path / "unit.json"
+        unit.write_text('{"sites": [{"s": [0, 0, 0], "v": 1.0}]}')
+        code, out, _ = run(capsys, "critical", "--grid", "64", "--potential", str(unit))
+        assert code == 0
+        path = tmp_path / "critical.json"
+        lam_star = json.loads(out)["lambda_star"]
+        path.write_text(json.dumps({"sites": [{"s": [0, 0, 0], "v": lam_star}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "existence", "--grid", "64",
+                             "--potential", str(path), "--k", "1.5,0,0", "--k", "0.4,0.4,0.4")
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        doc = json.loads(out)["existence"]
+        assert (doc["threshold"]["classification"], doc["required"]) == ("resonance", 1)
+        # the Weyl bracket of H(0) is [-lambda_star, 12], lambda_star about 4
+        assert doc["pos_tol"] == pytest.approx(1e-8 * 12.0, rel=1e-15)
+        assert [(r["count"], r["n_negative"]) for r in doc["per_k"]] == [(1, 0), (1, 0)]
+        assert elapsed < 1.0
+
+
 class TestDeeplyNestedPotentialFile:
     def test_exit_two_without_a_traceback(self, tmp_path):
         # json.loads raises RecursionError, not ValueError, on this nesting
@@ -971,6 +997,39 @@ class TestUsageErrorIsEchoedCut:
         line = captured.err.splitlines()[-1]
         assert "error: " in line and "xxx..." in line
         assert len(line.encode()) <= 200
+
+
+class TestUnrecognizedWordsAreCut:
+    """argparse joins every unrecognized word into one message; the list is
+    cut as one echo, however short each word is."""
+
+    def test_many_short_words(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["band", "--k", "0,0,0", *["x"] * 1500])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: x x x" in captured.err
+        assert len(captured.err.encode()) < 1000
+
+
+class TestUnwritableOut:
+    """A report that cannot be written is an input error (exit 2, one
+    ``error:`` line), not an OSError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("band", "--k", "0,0,0"),
+        ("verify", "--suite", "counting", "--trials", "2"),
+    ], ids=["band", "verify"])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_exit_two_with_one_error_line(self, capsys, tmp_path, argv, where, reason):
+        out = tmp_path / "no" / "such" / "dir.json" if where == "missing" else tmp_path
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write report: {reason}: {model._echo(str(out))}\n"
 
 
 class TestCheksizTieBand:
