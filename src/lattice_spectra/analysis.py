@@ -322,7 +322,7 @@ class PositivityReport(namedtuple("PositivityReport", "pos_tol per_k")):
 def _pos_tol(m: MassPair, pot: Potential, pos_tol: Optional[float]) -> float:
     """pos_tol, by default 10 * ``default_tie_tol`` of ``weyl_bracket`` at k = 0,
     whose scale bounds the one at every k (e_min(k) >= e_min(0) = 0 and
-    e_max(k) <= e_max(0)); one not finite and > 0 is an InputError."""
+    e_max(k) <= e_max(0)); a value not finite and > 0 is an InputError."""
     tol = 10.0 * default_tie_tol(weyl_bracket(m, ZERO_K, pot)) if pos_tol is None else pos_tol
     if not 0.0 < _real(tol, "pos_tol") < math.inf:  # NaN fails too
         raise InputError(f"pos_tol must be finite and > 0, got {tol}")
