@@ -234,7 +234,7 @@ def resonance_analysis(
         if not 0.0 < tol < 1.0:  # NaN fails too
             raise PreconditionError(f"{name} must lie in (0, 1), got {tol}")
     if not pot.is_nonnegative():
-        raise PreconditionError("threshold classification requires v-hat >= 0")
+        raise PreconditionError("G(0, 0) requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
     try:
@@ -272,20 +272,16 @@ def critical_coupling(
     """Coupling scale at which G(0, 0) for lambda * v-hat first reaches 1.
 
     G scales linearly in the coupling, so lambda_star is the reciprocal of
-    the largest Birman-Schwinger eigenvalue of the base potential; one
-    diagonalization of the support-sized Gram matrix suffices.  With
-    refine, the eigenvalue is recomputed at grid sizes N and 2N and
-    Richardson-extrapolated assuming O(1/N) finite-volume error (the
-    eigenvalue, not its reciprocal, carries the clean 1/N law).
+    the largest Birman-Schwinger eigenvalue of the base potential, the
+    ``lambda_max`` of its threshold classification (``resonance_analysis``,
+    whose refusals it shares).  With refine, the eigenvalue is recomputed
+    at grid sizes N and 2N and Richardson-extrapolated assuming O(1/N)
+    finite-volume error (the eigenvalue, not its reciprocal, carries the
+    clean 1/N law).
     """
-    if base_pot.is_empty():
-        raise ZeroPotentialError("critical coupling of the zero potential")
-    if not base_pot.is_nonnegative():
-        raise PreconditionError("critical coupling requires v-hat >= 0")
 
     def top(n: int) -> float:
-        g = MomentumGrid(n, grid.offset)
-        return float(bs_support_eigenvalues(m, ZERO_K, base_pot, 0.0, g)[-1])
+        return resonance_analysis(m, base_pot, MomentumGrid(n, grid.offset)).lambda_max
 
     n1 = grid.n_per_dim
     x1 = top(n1)
@@ -532,8 +528,6 @@ def verify_cheksiz(
         for s in pot.axis_sites(j)
         if pot.value(tuple(s if i == j else 0 for i in range(3))) > 0
     )
-    if not pot.is_nonnegative():
-        raise PreconditionError("degenerate-direction count requires v-hat >= 0")
     tc = threshold_count(m, k, pot, grid, schedule, tie_tol)
     monotone = all(a <= b for a, b in zip(tc.counts, tc.counts[1:]))
     return CheksizReport(

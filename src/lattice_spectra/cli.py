@@ -323,21 +323,18 @@ SUITES = {
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    names = cfg.suite.split(",") if cfg.suite != "all" else list(SUITES)
+    """Run each selected suite once, in order, after every name and its
+    --potential need is checked."""
+    names = list(SUITES) if cfg.suite == "all" else list(dict.fromkeys(cfg.suite.split(",")))
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {_echo(name)}")
-    report = {}
-    all_pass = True
-    for name in names:
-        runner, wants_potential = SUITES[name]
-        if wants_potential and cfg.potential is None:
+        if SUITES[name][1] and cfg.potential is None:
             raise ConfigError(f"suite {name!r} requires --potential")
-        report[name] = runner(cfg)
-        all_pass = all_pass and report[name]["pass"]
-    report["pass"] = all_pass
+    report = {name: SUITES[name][0](cfg) for name in names}
+    report["pass"] = all(rec["pass"] for rec in report.values())
     _emit_json(report, cfg.out)
-    return 0 if all_pass else 1
+    return 0 if report["pass"] else 1
 
 
 def cmd_plotdata(cfg: argparse.Namespace) -> int:
