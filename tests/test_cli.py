@@ -1052,3 +1052,59 @@ class TestCheksizTieBand:
         assert doc["threshold"]["records"][0]["counts"] == counts
         assert doc["cheksiz"]["records"][0]["counts"] == counts
         assert doc["cheksiz"]["pass"] is (code == 0)
+
+
+class TestOneEntryToGZero:
+    """``critical`` reads lambda_max off the k = 0 threshold classification,
+    so it and ``verify --suite existence`` refuse the same inputs with the
+    same words: a signed potential, and a grid with a node at the
+    dispersion minimum, which the refusal names."""
+
+    SIGNED = '{"sites": [{"s": [0, 0, 0], "v": 8.0}, {"s": [1, 0, 0], "v": -6.0}]}'
+
+    @pytest.mark.parametrize("signed, argv, words", [
+        (True, ("--grid", "6"), "G(0, 0) requires v-hat >= 0"),
+        (False, ("--grid", "5"), "use an even N with offset 0.5"),
+        (False, ("--grid", "4", "--offset", "0"), "use an even N with offset 0.5"),
+    ])
+    def test_critical_and_existence_refuse_alike(self, capsys, tmp_path, point_pot_file,
+                                                 signed, argv, words):
+        pot = point_pot_file
+        if signed:
+            pot = tmp_path / "signed.json"
+            pot.write_text(self.SIGNED)
+        errs = []
+        for command in (("critical",), ("verify", "--suite", "existence", "--k", "1,0,0")):
+            code, out, err = run(capsys, *command, "--potential", str(pot), *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert words in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+
+class TestVerifyChecksBeforeRunning:
+    """``verify`` checks every selected suite, and its --potential need,
+    before it runs one, and runs a repeated name once."""
+
+    def test_missing_potential_is_refused_before_counting_runs(self, capsys, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("the counting suite ran before the refusal")
+
+        monkeypatch.setitem(lattice_spectra.cli.SUITES, "counting", (refuse, False))
+        code, out, err = run(capsys, "verify", "--suite", "counting,neraven", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: suite 'neraven' requires --potential\n"
+
+    def test_repeated_suite_runs_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.trials)
+            return {"pass": True}
+
+        monkeypatch.setitem(lattice_spectra.cli.SUITES, "counting", (counting, False))
+        code, out, err = run(capsys, "verify", "--suite", "counting,counting", "--trials", "1")
+        assert (code, err) == (0, "")
+        assert calls == [1]
+        assert json.loads(out) == {"counting": {"pass": True}, "pass": True}
