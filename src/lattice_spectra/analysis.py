@@ -211,6 +211,18 @@ def _threshold_report(
     )
 
 
+def _at_threshold(pot: Potential, solve):
+    """solve() on G(0, 0) behind its refusals: a signed potential, and a grid
+    sample at the dispersion minimum E = 0 (z = 0 not below the band)."""
+    if not pot.is_nonnegative():
+        raise PreconditionError("G(0, 0) requires v-hat >= 0")
+    try:
+        return solve()
+    except ZNotBelowBandError as exc:
+        raise PreconditionError(f"grid offset must keep the dispersion minimum off the grid "
+                                f"({exc}); use an even N with offset 0.5") from None
+
+
 def resonance_analysis(
     m: MassPair,
     pot: Potential,
@@ -233,17 +245,9 @@ def resonance_analysis(
     for name, tol in (("unit_tol", unit_tol), ("overlap_tol", overlap_tol)):
         if not 0.0 < tol < 1.0:  # NaN fails too
             raise PreconditionError(f"{name} must lie in (0, 1), got {tol}")
-    if not pot.is_nonnegative():
-        raise PreconditionError("G(0, 0) requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
-    try:
-        gram, _ = _gram(m, ZERO_K, pot, grid, 0.0)
-    except ZNotBelowBandError as exc:
-        raise PreconditionError(
-            f"grid offset must keep the dispersion minimum off the grid ({exc}); "
-            "use an even N with offset 0.5"
-        ) from None
+    gram, _ = _at_threshold(pot, lambda: _gram(m, ZERO_K, pot, grid, 0.0))
     try:
         eigs, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
@@ -272,16 +276,17 @@ def critical_coupling(
     """Coupling scale at which G(0, 0) for lambda * v-hat first reaches 1.
 
     G scales linearly in the coupling, so lambda_star is the reciprocal of
-    the largest Birman-Schwinger eigenvalue of the base potential, the
-    ``lambda_max`` of its threshold classification (``resonance_analysis``,
-    whose refusals it shares).  With refine, the eigenvalue is recomputed
-    at grid sizes N and 2N and Richardson-extrapolated assuming O(1/N)
-    finite-volume error (the eigenvalue, not its reciprocal, carries the
-    clean 1/N law).
+    the largest Birman-Schwinger eigenvalue of the base potential; one
+    diagonalization of the support-sized Gram matrix suffices.  With
+    refine, the eigenvalue is recomputed at grid sizes N and 2N and
+    Richardson-extrapolated assuming O(1/N) finite-volume error (the
+    eigenvalue, not its reciprocal, carries the clean 1/N law).
     """
 
     def top(n: int) -> float:
-        return resonance_analysis(m, base_pot, MomentumGrid(n, grid.offset)).lambda_max
+        g = MomentumGrid(n, grid.offset)
+        eigs = _at_threshold(base_pot, lambda: bs_support_eigenvalues(m, ZERO_K, base_pot, 0.0, g))
+        return float(eigs.max(initial=0.0))
 
     n1 = grid.n_per_dim
     x1 = top(n1)

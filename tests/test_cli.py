@@ -1055,10 +1055,10 @@ class TestCheksizTieBand:
 
 
 class TestOneEntryToGZero:
-    """``critical`` reads lambda_max off the k = 0 threshold classification,
-    so it and ``verify --suite existence`` refuse the same inputs with the
-    same words: a signed potential, and a grid with a node at the
-    dispersion minimum, which the refusal names."""
+    """``critical`` and the k = 0 threshold classification ask G(0, 0)
+    through one entry, so ``critical`` and ``verify --suite existence``
+    refuse the same inputs with the same words: a signed potential, and a
+    grid with a node at the dispersion minimum, which the refusal names."""
 
     SIGNED = '{"sites": [{"s": [0, 0, 0], "v": 8.0}, {"s": [1, 0, 0], "v": -6.0}]}'
 
@@ -1108,3 +1108,23 @@ class TestVerifyChecksBeforeRunning:
         assert (code, err) == (0, "")
         assert calls == [1]
         assert json.loads(out) == {"counting": {"pass": True}, "pass": True}
+
+
+class TestCheksizSignRefusal:
+    """``verify --suite cheksiz`` leaves the sign of v-hat to the
+    Birman-Schwinger count, after its own degenerate-direction check."""
+
+    SIGNED = TestOneEntryToGZero.SIGNED
+
+    @pytest.mark.parametrize("k, words", [
+        (f"{math.pi!r},0.4,0.2", "error: Birman-Schwinger requires v-hat >= 0\n"),
+        ("0.3,-1.0,0.2", "no degenerate direction"),
+    ])
+    def test_signed_potential(self, capsys, tmp_path, k, words):
+        pot = tmp_path / "signed.json"
+        pot.write_text(self.SIGNED)
+        code, out, err = run(capsys, "verify", "--suite", "cheksiz", "--potential", str(pot),
+                             "--grid", "6", "--k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert words in err
