@@ -19,6 +19,7 @@ import numpy as np
 from .dispersion import band_geometry, degenerate_directions
 from .errors import (
     InputError,
+    NegativePotentialError,
     NumericalFailure,
     PreconditionError,
     ZeroPotentialError,
@@ -215,7 +216,7 @@ def _at_threshold(pot: Potential, solve):
     """solve() on G(0, 0) behind its refusals: a signed potential, and a grid
     sample at the dispersion minimum E = 0 (z = 0 not below the band)."""
     if not pot.is_nonnegative():
-        raise PreconditionError("G(0, 0) requires v-hat >= 0")
+        raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     try:
         return solve()
     except ZNotBelowBandError as exc:
@@ -528,11 +529,8 @@ def verify_cheksiz(
         shown = ", ".join(f"{c:.12g}" for c in k.components)
         raise PreconditionError(f"no degenerate direction at k = ({shown}) for masses {tuple(m)}")
     j = min(degen)
-    target = sum(
-        1
-        for s in pot.axis_sites(j)
-        if pot.value(tuple(s if i == j else 0 for i in range(3))) > 0
-    )
+    target = sum(1 for s, v in pot.entries.items()
+                 if v > 0 and all(s[i] == 0 for i in range(3) if i != j))
     tc = threshold_count(m, k, pot, grid, schedule, tie_tol)
     monotone = all(a <= b for a, b in zip(tc.counts, tc.counts[1:]))
     return CheksizReport(

@@ -38,10 +38,6 @@ from .spectral import (
     verify_counting_theorem,
 )
 
-class ConfigError(InputError):
-    """CLI-level configuration problem."""
-
-
 # ---------------------------------------------------------------------------
 # Parsing helpers
 
@@ -49,18 +45,11 @@ class ConfigError(InputError):
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {_echo(text)}")
+        raise InputError(f"expected three comma-separated numbers, got {_echo(text)}")
     try:
         return tuple(float(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise ConfigError(f"bad number in {_echo(text)}") from exc
-
-
-def _quasimomentum(components) -> Quasimomentum:
-    try:
-        return Quasimomentum(*components)
-    except ValueError as exc:
-        raise ConfigError(f"bad quasi-momentum: {exc}") from exc
+        raise InputError(f"bad number in {_echo(text)}") from exc
 
 
 # Bytes one k-point takes while a k-path is parsed or random k are drawn:
@@ -72,19 +61,19 @@ K_PATH_POINT_BYTES = 160
 def _parse_k_path(text: str) -> list[Quasimomentum]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--k-path wants start:end:count, got {_echo(text)}")
+        raise InputError(f"--k-path wants start:end:count, got {_echo(text)}")
     start = np.array(_parse_triple(parts[0]))
     end = np.array(_parse_triple(parts[1]))
     try:
         count = int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad point count {_echo(parts[2])}") from exc
+        raise InputError(f"bad point count {_echo(parts[2])}") from exc
     if count < 2:
-        raise ConfigError("k-path needs at least 2 points")
+        raise InputError("k-path needs at least 2 points")
     operators._require_fits(count * K_PATH_POINT_BYTES, f"--k-path count {_echo(count)}",
-                            ConfigError)
+                            InputError)
     ts = np.linspace(0.0, 1.0, count)
-    return [_quasimomentum(start + t * (end - start)) for t in ts]
+    return [Quasimomentum(*(start + t * (end - start))) for t in ts]
 
 
 def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argparse.Namespace:
@@ -92,11 +81,11 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
     model objects, plus the k-points (k_list) and the z-schedule."""
     mp = args.masses.split(",")
     if len(mp) != 2:
-        raise ConfigError(f"--masses wants m1,m2, got {_echo(args.masses)}")
+        raise InputError(f"--masses wants m1,m2, got {_echo(args.masses)}")
     try:
         m1, m2 = float(mp[0]), float(mp[1])
     except ValueError:
-        raise ConfigError(f"could not convert string to float: {_echo(args.masses)}") from None
+        raise InputError(f"could not convert string to float: {_echo(args.masses)}") from None
     masses = MassPair(m1, m2)
     pot = None
     if args.potential is not None:
@@ -104,19 +93,19 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
             with open(args.potential, "rb") as fh:
                 pot = load_potential(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read potential file: {exc.strerror}: "
+            raise InputError(f"cannot read potential file: {exc.strerror}: "
                               f"{_echo(args.potential)}") from exc
     elif need_potential:
-        raise ConfigError("this command requires --potential")
+        raise InputError("this command requires --potential")
     grid = MomentumGrid(args.grid, args.offset)
     schedule = analysis.ZSchedule(args.z_delta0, args.z_ratio, args.z_steps)
-    k_list = [_quasimomentum(_parse_triple(trip)) for trip in args.k or []]
+    k_list = [Quasimomentum(*_parse_triple(trip)) for trip in args.k or []]
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
     if args.trials is not None and args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {_echo(args.trials)}")
+        raise InputError(f"--trials must be >= 1, got {_echo(args.trials)}")
     if args.seed < 0:  # numpy's generators take none
-        raise ConfigError(f"--seed must be >= 0, got {_echo(args.seed)}")
+        raise InputError(f"--seed must be >= 0, got {_echo(args.seed)}")
     # the threshold tolerances stay below 1: at unit_tol >= 1 the zero
     # eigenvalues of G(0, 0) would count as unit ones, and at
     # overlap_tol >= 1 no eigenvector could overlap the kernel vector
@@ -125,14 +114,14 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
         val = getattr(args, name)
         if val is not None and not (math.isfinite(val) and 0.0 < val < high):
             span = "> 0" if high == math.inf else "in (0, 1)"
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite and {span}, got {val}")
+            raise InputError(f"--{name.replace('_', '-')} must be finite and {span}, got {val}")
     return argparse.Namespace(**{**vars(args), "masses": masses, "potential": pot, "grid": grid,
                                  "k_list": k_list, "schedule": schedule})
 
 
 def _require_k(cfg: argparse.Namespace) -> list[Quasimomentum]:
     if not cfg.k_list:
-        raise ConfigError("this command requires --k or --k-path")
+        raise InputError("this command requires --k or --k-path")
     return cfg.k_list
 
 
@@ -161,7 +150,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write report: {exc.strerror}: {_echo(out)}") from exc
+            raise InputError(f"cannot write report: {exc.strerror}: {_echo(out)}") from exc
     else:
         sys.stdout.write(text)
 
@@ -304,7 +293,7 @@ def _suite_positivity(cfg: argparse.Namespace) -> dict:
         rng = np.random.default_rng(cfg.seed)
         trials = 20 if cfg.trials is None else cfg.trials
         operators._require_fits(trials * K_PATH_POINT_BYTES, f"--trials {_echo(trials)}",
-                                ConfigError)
+                                InputError)
         ks = [sampling.random_quasimomentum(rng) for _ in range(trials)]
     rep = analysis.positivity_check(cfg.masses, cfg.potential, ks, cfg.grid, cfg.pos_tol)
     return {**_jsonable(rep), "pass": rep.all_ok}
@@ -328,9 +317,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     names = list(SUITES) if cfg.suite == "all" else list(dict.fromkeys(cfg.suite.split(",")))
     for name in names:
         if name not in SUITES:
-            raise ConfigError(f"unknown suite {_echo(name)}")
+            raise InputError(f"unknown suite {_echo(name)}")
         if SUITES[name][1] and cfg.potential is None:
-            raise ConfigError(f"suite {name!r} requires --potential")
+            raise InputError(f"suite {name!r} requires --potential")
     report = {name: SUITES[name][0](cfg) for name in names}
     report["pass"] = all(rec["pass"] for rec in report.values())
     _emit_json(report, cfg.out)
@@ -342,7 +331,7 @@ def cmd_plotdata(cfg: argparse.Namespace) -> int:
 
     ks = _require_k(cfg)
     if cfg.quantity != "band_edges" and cfg.potential is None:
-        raise ConfigError(f"{cfg.quantity} requires --potential")
+        raise InputError(f"{cfg.quantity} requires --potential")
     buf = io.StringIO()
     writer = csv.writer(buf)
     if cfg.quantity == "band_edges":
@@ -459,12 +448,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
         handler = {"band": cmd_band, "spectrum": cmd_spectrum, "critical": cmd_critical,
                    "verify": cmd_verify, "plotdata": cmd_plotdata}[args.command]
-        # an overflow is the library's to report, as exit 3, not numpy's to
-        # print as a RuntimeWarning
+        # an overflow, in the flags or after them, is the library's to
+        # report, as exit 2 or 3, not numpy's to print as a RuntimeWarning
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cfg = _config_from_args(args, need_potential=args.command in ("spectrum", "critical"))
             return handler(cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

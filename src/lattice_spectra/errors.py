@@ -22,10 +22,6 @@ class GridTooSmallError(InputError):
     """Grid cannot faithfully represent the potential support (N < 2R+1)."""
 
 
-class NegativePotentialError(InputError):
-    """Birman-Schwinger construction requires a nonnegative potential."""
-
-
 class ZNotBelowBandError(InputError):
     """Spectral parameter z lies inside the grid-sampled band [min E, max E],
     or, for the Birman-Schwinger spectrum, not below it."""
@@ -39,8 +35,8 @@ class PreconditionError(InputError):
     """A documented operation precondition does not hold for these inputs."""
 
 
-class ThreadCountError(InputError):
-    """The worker-count environment variable is not a positive integer."""
+class NegativePotentialError(PreconditionError):
+    """Every Birman-Schwinger argument requires a nonnegative potential."""
 
 
 class DenseTooLargeError(InputError):

@@ -27,7 +27,7 @@ import sys
 import threading
 from typing import Callable, Sequence, TypeVar
 
-from .errors import ThreadCountError
+from .errors import InputError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -57,9 +57,9 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ThreadCountError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+        raise InputError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if n < 1:
-        raise ThreadCountError(f"{ENV_VAR} must be >= 1, got {n}")
+        raise InputError(f"{ENV_VAR} must be >= 1, got {n}")
     return min(n, cores)
 
 

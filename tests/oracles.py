@@ -183,7 +183,7 @@ def dense_resonance_analysis(
     rule (``_threshold_report``) in place of the r x r Gram's.
     """
     if not pot.is_nonnegative():
-        raise PreconditionError("G(0, 0) requires v-hat >= 0")
+        raise NegativePotentialError("Birman-Schwinger requires v-hat >= 0")
     if pot.is_empty():
         return ThresholdReport(0.0, (), "none", 0, False)
     diag0 = dispersion_on_grid(m, ZERO_K, grid)

@@ -38,6 +38,7 @@ from lattice_spectra.cli import main
 from lattice_spectra.errors import (
     GridTooSmallError,
     InputError,
+    NegativePotentialError,
     NumericalFailure,
     PreconditionError,
     ZeroPotentialError,
@@ -334,6 +335,27 @@ class TestResonanceAnalysis:
         # the middle node of an odd grid at offset 1/2 sits at q = 0
         with pytest.raises(PreconditionError, match="even N"):
             resonance_analysis(M11, point_potential(1.0), MomentumGrid(5))
+
+
+class TestOneSignRefusal:
+    """Each Birman-Schwinger entry refuses a signed potential with one class,
+    a PreconditionError, and one message."""
+
+    SIGNED = Potential({(0, 0, 0): 8.0, (1, 0, 0): -6.0})
+    K = Quasimomentum(0.3, 0.2, 0.1)
+
+    @pytest.mark.parametrize("call", [
+        lambda pot, grid: resonance_analysis(M11, pot, grid),
+        lambda pot, grid: critical_coupling(M11, pot, grid),
+        lambda pot, grid: bs_support_eigenvalues(M11, TestOneSignRefusal.K, pot, -1.0, grid),
+        lambda pot, grid: threshold_count(M11, TestOneSignRefusal.K, pot, grid),
+    ], ids=["resonance_analysis", "critical_coupling", "bs_support_eigenvalues",
+            "threshold_count"])
+    def test_negative_potential_error(self, call):
+        assert issubclass(NegativePotentialError, PreconditionError)
+        with pytest.raises(NegativePotentialError) as exc:
+            call(self.SIGNED, MomentumGrid(6))
+        assert str(exc.value) == "Birman-Schwinger requires v-hat >= 0"
 
 
 class TestCriticalCoupling:

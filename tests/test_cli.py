@@ -1063,7 +1063,7 @@ class TestOneEntryToGZero:
     SIGNED = '{"sites": [{"s": [0, 0, 0], "v": 8.0}, {"s": [1, 0, 0], "v": -6.0}]}'
 
     @pytest.mark.parametrize("signed, argv, words", [
-        (True, ("--grid", "6"), "G(0, 0) requires v-hat >= 0"),
+        (True, ("--grid", "6"), "Birman-Schwinger requires v-hat >= 0"),
         (False, ("--grid", "5"), "use an even N with offset 0.5"),
         (False, ("--grid", "4", "--offset", "0"), "use an even N with offset 0.5"),
     ])
@@ -1081,6 +1081,45 @@ class TestOneEntryToGZero:
             assert words in err
             errs.append(err)
         assert errs[0] == errs[1]
+
+
+class TestOneSignRefusal:
+    """Every route to a Birman-Schwinger argument refuses a signed potential
+    with the same one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("critical",),
+        ("verify", "--suite", "existence", "--k", "1,0,0"),
+        ("verify", "--suite", "cheksiz", "--k", f"{math.pi!r},0.4,0.2"),
+        ("verify", "--suite", "threshold", "--k", "0.3,0.2,0.1"),
+        ("plotdata", "--quantity", "bs_counts", "--k", "0.3,0.2,0.1"),
+    ], ids=["critical", "existence", "cheksiz", "threshold", "bs_counts"])
+    def test_one_line(self, capsys, tmp_path, argv):
+        pot = tmp_path / "signed.json"
+        pot.write_text(TestOneEntryToGZero.SIGNED)
+        code, out, err = run(capsys, *argv, "--potential", str(pot), "--grid", "6")
+        assert (code, out, err) == (2, "", "error: Birman-Schwinger requires v-hat >= 0\n")
+
+
+class TestFlagsReadUnderErrstate:
+    """A --k-path whose arithmetic overflows is refused with one error
+    line, as every other bad flag is; numpy prints no warning."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--k-path", "0,0,0:inf,0,0:3"),
+        ("--k-path=-1e308,0,0:1e308,0,0:3",),
+    ])
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, "band", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_one_error_line_from_a_process(self):
+        proc = cli_process("band", "--k-path", "0,0,0:inf,0,0:3")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "finite" in proc.stderr
 
 
 class TestVerifyChecksBeforeRunning:
