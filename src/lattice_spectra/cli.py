@@ -29,7 +29,7 @@ from .model import (
     _echo,
     load_potential,
 )
-from .parallel import parallel_map
+from .parallel import parallel_map, serial
 from .spectral import (
     count_above,
     count_below,
@@ -178,8 +178,18 @@ def cmd_band(cfg: argparse.Namespace) -> int:
     return 0
 
 
+# The k-points go to the pool only when some k leaves a block of at least
+# this many rows to solve after deflation (``operators.fiber_solve_rows``).
+# Below it a solve is about as fast as the Python around it, and two
+# workers pass the GIL back and forth around every LAPACK call.  On a 2-core
+# host the pool's speed-up over one worker was 0.96-1.03x at 216 to 500
+# rows and 1.4-1.5x at 1000 (README, "Threads").
+POOL_MIN_ROWS = 512
+
+
 def _spectrum_records(cfg: argparse.Namespace) -> list[dict]:
-    """Eigenvalues and band counts per k, the k-points in the pool."""
+    """Eigenvalues and band counts per k, the k-points in the pool when
+    their blocks are large enough to pay for it (POOL_MIN_ROWS)."""
     def record(k: Quasimomentum) -> dict:
         # a worker thread does not inherit main's errstate
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -195,7 +205,10 @@ def _spectrum_records(cfg: argparse.Namespace) -> list[dict]:
                 "n_above_band": count_above(geo.e_max, eigs, tol),
             }
 
-    return parallel_map(record, _require_k(cfg))
+    ks = _require_k(cfg)
+    rows = (operators.fiber_solve_rows(cfg.masses, k, cfg.potential, cfg.grid) for k in ks)
+    with serial(all(n < POOL_MIN_ROWS for n in rows)):
+        return parallel_map(record, ks)
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:

@@ -55,8 +55,8 @@ axis factor is even, so is E, and H(k) is handed to the eigensolver as
 its even and odd blocks of about N^3 / 2 each (a quarter of the dense
 work), else as one N^3 x N^3 block; C is even and S odd, so each block
 is its diagonal minus one rank-r product of rows of C, of S or of both.
-``_fiber_parts`` decides the blocks, their memory guard and the
-tolerance of their levels.
+``_fiber_diagonals`` decides the blocks, their memory guard and the
+tolerance of their levels, and ``_fiber_parts`` adds their rows of C and S.
 
 The diagonal of a block is often very degenerate: equal masses on the
 zone diagonal (E is symmetric in the three axes) or a direction with
@@ -67,8 +67,11 @@ most the block's rank r_b, so m - r_b of its eigenvalues equal e exactly.
 (``_deflate``, the deflation step of Bunch, Nielsen & Sorensen 1978).
 Levels are runs of sorted samples within the evenness tolerance, and by
 Weyl placing a run at its mean moves no eigenvalue by more than its
-spread.  A block whose levels are no longer than its rank (a generic k)
-passes through unchanged.
+spread.  The runs of one length share one stacked QR call, which LAPACK
+still factors matrix by matrix.  A block whose levels are no longer than
+its rank (a generic k) passes through unchanged.  ``fiber_solve_rows``
+counts the rows that are left to solve from the same runs, before any
+block is built.
 
 Birman-Schwinger operators are positive semidefinite.  Their Gram
 spectrum refuses a non-finite eigenvalue, or a smallest eigenvalue below
@@ -197,28 +200,24 @@ def _parity_map(grid: MomentumGrid) -> Optional[np.ndarray]:
 
 # Past this many nodes per axis no machine holds a block of H(k) (at least
 # ceil(N^3 / 2) rows, 4.6e18 bytes with its solver's copy at N = 1024), and
-# ``_fiber_parts`` refuses it on that bound before the O(N) axis factors.
+# ``_fiber_diagonals`` refuses it on that bound before the O(N) axis factors.
 DENSE_MAX_N = 1 << 10
 
 
-def _fiber_parts(
+def _fiber_diagonals(
     m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
-    """(diagonal, factor rows, weights) of each diagonal block of H(k),
-    and the tolerance of the evenness test, which also bounds a level.
+) -> tuple[list[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]], float]:
+    """The diagonal of each block of H(k), the nodes of its even and odd
+    blocks (None for one block of every node), and the tolerance of the
+    evenness test, which also bounds a level.
 
-    The diagonal samples E as the Gram does, (e_1 + e_2) + e_3.  V is
-    C diag(w) C^T + S diag(w') S^T (``_plane_wave_factor``).  When every
+    The diagonal samples E as the Gram does, (e_1 + e_2) + e_3.  When every
     axis factor is even (``_even_factor``), each factor is replaced by its
     pair means and H(k) splits in two parity blocks.  The even block acts
     on e_q at the fixed nodes q = -q (listed last) and (e_q + e_-q)/sqrt(2)
     at one representative q of each pair, the odd block on
-    (e_q - e_-q)/sqrt(2) at the pair representatives.  C is even in q and
-    S odd, so the even block takes the rows of C at its nodes (times
-    sqrt(2) at the pairs) and the odd block the rows of S at its nodes
-    times sqrt(2).  Otherwise the one block is the full matrix.  A block
-    is its diagonal minus f diag(w) f^T, and is refused here when its rows
-    do not fit in memory, before any N^3 array is built.
+    (e_q - e_-q)/sqrt(2) at the pair representatives.  A block is refused
+    here when its rows do not fit in memory, before any N^3 array is built.
     """
     _require_grid_fits(pot, grid)
     if grid.n_per_dim > DENSE_MAX_N:
@@ -238,18 +237,53 @@ def _fiber_parts(
         _require_dense_fits(n, grid)
     e1, e2, e3 = even if split else factors
     e = ((e1[:, None, None] + e2[:, None]) + e3).ravel()
+    if not split:
+        return [e], None, tol
+    nodes, mirror = np.arange(grid.dim), _parity_map(grid)
+    pairs = nodes[nodes < mirror]
+    even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
+    return [e[even_nodes], e[pairs]], (even_nodes, pairs), tol
+
+
+def _fiber_parts(
+    m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
+    """(diagonal, factor rows, weights) of each diagonal block of H(k)
+    (``_fiber_diagonals``), and the tolerance of its levels.
+
+    V is C diag(w) C^T + S diag(w') S^T (``_plane_wave_factor``).  C is
+    even in q and S odd, so the even block takes the rows of C at its
+    nodes (times sqrt(2) at the pairs) and the odd block the rows of S at
+    its nodes times sqrt(2); the one block of an unsplit H(k) takes all of
+    them.  A block is its diagonal minus f diag(w) f^T.
+    """
+    diags, split, tol = _fiber_diagonals(m, k, pot, grid)
     factor, weights, n_cos = _plane_wave_factor(pot, grid)
-    parts = [(e, factor, weights)]
-    if split:
-        nodes, mirror = np.arange(grid.dim), _parity_map(grid)
-        pairs = nodes[nodes < mirror]
-        even_nodes = np.concatenate([pairs, nodes[nodes == mirror]])
-        scale = np.where(np.arange(len(even_nodes)) < len(pairs), math.sqrt(2.0), 1.0)
-        parts = [
-            (e[even_nodes], factor[even_nodes, :n_cos] * scale[:, None], weights[:n_cos]),
-            (e[pairs], factor[pairs, n_cos:] * math.sqrt(2.0), weights[n_cos:]),
-        ]
-    return parts, tol
+    if split is None:
+        return [(diags[0], factor, weights)], tol
+    even_nodes, pairs = split
+    scale = np.where(np.arange(len(even_nodes)) < len(pairs), math.sqrt(2.0), 1.0)
+    return [
+        (diags[0], factor[even_nodes, :n_cos] * scale[:, None], weights[:n_cos]),
+        (diags[1], factor[pairs, n_cos:] * math.sqrt(2.0), weights[n_cos:]),
+    ], tol
+
+
+def fiber_solve_rows(m: MassPair, k: Quasimomentum, pot: Potential, grid: MomentumGrid) -> int:
+    """Rows of the largest block that ``fiber_blocks`` hands the eigensolver:
+    each block's rows less the copies ``_deflate`` splits off, counted from
+    its sorted diagonal and ``_long_runs`` alone, with no plane-wave factor,
+    no QR and no N^3 x N^3 array.  The memory guards of ``_fiber_diagonals``
+    apply."""
+    diags, split, tol = _fiber_diagonals(m, k, pot, grid)
+    # one column of [C | S] per site: a cosine column for the origin and
+    # for each pair +-s, a sine column for each pair
+    r = len(pot.entries)
+    ranks = [r] if split is None else [r - r // 2, r // 2]
+    return max(
+        len(d) - sum(b - a - rank for a, b in _long_runs(np.sort(d), tol, rank))
+        for d, rank in zip(diags, ranks)
+    )
 
 
 def fiber_blocks(
@@ -310,9 +344,11 @@ def _deflate(
     eigenvalue e, and the level enters the rest of the block through the r
     rows of R alone.  For every run of ``_long_runs`` longer than the rank
     r this replaces its m rows of f by R, placed at the run's mean, and
-    splits off m - r copies of the mean.  The change of basis is orthogonal, and by
-    Weyl the mean moves no eigenvalue by more than the run's spread (at
-    most tol).
+    splits off m - r copies of the mean.  The change of basis is orthogonal,
+    and by Weyl the mean moves no eigenvalue by more than the run's spread
+    (at most tol).  The runs of equal length share one stacked
+    ``np.linalg.qr``; LAPACK factors each of them on its own, so R is the
+    one a call per run gives.
 
     Returns (diag, f, copies): the kept nodes in their order followed by
     the rows of R, and the copies.  Without such a run, diag and f are
@@ -321,20 +357,23 @@ def _deflate(
     rank = f.shape[1]
     order = np.argsort(diag, kind="stable")
     s = diag[order]
-    keep = np.ones(len(diag), dtype=bool)
-    levels, rows, copies = [], [], []
-    for a, b in _long_runs(s, tol, rank):
-        run, level = order[a:b], float(s[a:b].mean())
-        keep[run] = False
-        rows.append(np.linalg.qr(f[run], mode="r"))
-        levels.append(np.full(rank, level))
-        copies.append(np.full(b - a - rank, level))
-    if not rows:
+    runs = np.array(list(_long_runs(s, tol, rank)), dtype=int).reshape(-1, 2)
+    if not len(runs):
         return diag, f, np.zeros(0)
+    starts, lengths = runs[:, 0], runs[:, 1] - runs[:, 0]
+    keep = np.ones(len(diag), dtype=bool)
+    rows, levels = np.empty((len(runs), rank, rank)), np.empty(len(runs))
+    # a set, not np.unique, whose first call imports numpy.ma (about 10 ms)
+    for length in set(lengths.tolist()):
+        same = np.flatnonzero(lengths == length)
+        at = starts[same, None] + np.arange(length)
+        keep[order[at]] = False
+        rows[same] = np.linalg.qr(f[order[at]], mode="r")
+        levels[same] = s[at].mean(axis=1)
     return (
-        np.concatenate([diag[keep], *levels]),
-        np.vstack([f[keep], *rows]),
-        np.concatenate(copies),
+        np.concatenate([diag[keep], np.repeat(levels, rank)]),
+        np.vstack([f[keep], rows.reshape(len(runs) * rank, rank)]),
+        np.repeat(levels, lengths - rank),
     )
 
 

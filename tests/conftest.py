@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from lattice_spectra import MassPair, MomentumGrid, Potential, Quasimomentum
+from lattice_spectra import MassPair, MomentumGrid, Potential, Quasimomentum, cli
 
 
 @pytest.fixture
@@ -19,6 +20,21 @@ def equal_masses():
 @pytest.fixture
 def grid8():
     return MomentumGrid(8)
+
+
+@pytest.fixture
+def solved_on_main(monkeypatch) -> list[bool]:
+    """For each k the CLI solves (``cli.fiber_eigenvalues``), whether it
+    was solved in the main thread."""
+    on_main: list[bool] = []
+    solve = cli.fiber_eigenvalues
+
+    def traced(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "fiber_eigenvalues", traced)
+    return on_main
 
 
 def point_potential(lam: float) -> Potential:

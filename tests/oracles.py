@@ -12,8 +12,9 @@ positive semidefinite against PSD_TOL.
 The threshold-continuity route (``continuity_exponent`` over
 ``bs_difference_norm``) contracts its difference kernel through the
 library's ``_support_gram``, with the checks of ``operators._gram``
-repeated.  ``save_potential`` and ``momentum_kernel`` serialize a
-potential and evaluate its Fourier series.
+repeated.  ``deflate_per_run`` is the deflation with one QR per level.
+``save_potential`` and ``momentum_kernel`` serialize a potential and
+evaluate its Fourier series.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from lattice_spectra.operators import (
     _axis_factors,
     _eigvalsh,
     _fiber_parts,
+    _long_runs,
     _parity_map,
     _require_dense_fits,
     _require_grid_fits,
@@ -167,6 +169,31 @@ def parity_blocks_of_v(pot: Potential, grid: MomentumGrid) -> tuple[np.ndarray, 
     where every axis factor of E is even."""
     (_, even, w_even), (_, odd, w_odd) = _fiber_parts(MassPair(1, 1), ZERO_K, pot, grid)[0]
     return (even * w_even) @ even.T, (odd * w_odd) @ odd.T
+
+
+def deflate_per_run(
+    diag: np.ndarray, f: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``operators._deflate`` with one QR call per run of ``_long_runs``,
+    the reference for the library's one stacked call per run length."""
+    rank = f.shape[1]
+    order = np.argsort(diag, kind="stable")
+    s = diag[order]
+    keep = np.ones(len(diag), dtype=bool)
+    levels, rows, copies = [], [], []
+    for a, b in _long_runs(s, tol, rank):
+        run, level = order[a:b], float(s[a:b].mean())
+        keep[run] = False
+        rows.append(np.linalg.qr(f[run], mode="r"))
+        levels.append(np.full(rank, level))
+        copies.append(np.full(b - a - rank, level))
+    if not rows:
+        return diag, f, np.zeros(0)
+    return (
+        np.concatenate([diag[keep], *levels]),
+        np.vstack([f[keep], *rows]),
+        np.concatenate(copies),
+    )
 
 
 def dense_resonance_analysis(

@@ -16,7 +16,7 @@ import pytest
 import numpy as np
 
 import lattice_spectra
-from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, model, operators
+from lattice_spectra import MassPair, MomentumGrid, Quasimomentum, cli, model, operators, parallel
 from lattice_spectra.cli import COMMANDS, _build_parser, _jsonable, main
 from lattice_spectra.model import load_potential
 from lattice_spectra.parallel import ENV_VAR
@@ -682,6 +682,19 @@ class TestNoNumpyWarnings:
                            "--k", "0,0,0", "--k", "0.5,0,0", **{ENV_VAR: "2"})
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+
+    def test_overflowing_dispersion_on_the_forced_pool(self, capsys, monkeypatch, pot3,
+                                                       solved_on_main):
+        # blocks this small run in the calling thread, so the pool is forced
+        # here: each worker sets its own errstate, or pytest's warning filter
+        # turns numpy's overflow warning into a traceback
+        monkeypatch.setattr(cli, "POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        code, out, err = run(capsys, "spectrum", "--masses", "1e-308,1", "--grid", "4",
+                             "--potential", pot3, "--k", "0,0,0", "--k", "0.5,0,0")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert solved_on_main and not any(solved_on_main)
 
 
 class TestRecordRefusalsNeedNoWrapping:

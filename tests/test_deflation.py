@@ -25,10 +25,13 @@ from lattice_spectra import operators
 from lattice_spectra.errors import DenseTooLargeError
 from lattice_spectra.spectral import eig_sym
 
-from oracles import build_h
+from oracles import build_h, deflate_per_run
 
 PI = math.pi
 EQUAL = MassPair(1.0, 1.0)
+# radius 1: 9 sites, so r = 9 (5 cosine and 4 sine columns)
+NINE_SITES = Potential({(0, 0, 0): 4.0, (1, 0, 0): 1.2, (0, 1, 1): 0.7,
+                        (1, -1, 0): 2.1, (1, 1, 1): 0.9})
 # signed, radius 2: 11 sites, so r = 11 (6 cosine and 5 sine columns)
 SIGNED = Potential({
     (0, 0, 0): 3.0, (1, 0, 0): -1.5, (0, 1, 0): 0.8, (0, 0, 1): 1.1,
@@ -198,10 +201,46 @@ def test_memory_guard_builds_h0_at_one_block(monkeypatch, blocks, refused):
 def test_spectrum_dense_path_block_sizes():
     # nine sites (five cosine, four sine columns), N = 10 on the zone
     # diagonal: the 500-row parity blocks shrink to at most rank rows per level
-    pot = Potential({(0, 0, 0): 4.0, (1, 0, 0): 1.2, (0, 1, 1): 0.7,
-                     (1, -1, 0): 2.1, (1, 1, 1): 0.9})
-    dims = reduced_dims(EQUAL, Quasimomentum(0.6, 0.6, 0.6), pot, MomentumGrid(10))
+    dims = reduced_dims(EQUAL, Quasimomentum(0.6, 0.6, 0.6), NINE_SITES, MomentumGrid(10))
     assert dims == [(121, 379), (100, 400)]
+    k = Quasimomentum(0.6, 0.6, 0.6)
+    assert operators.fiber_solve_rows(EQUAL, k, NINE_SITES, MomentumGrid(10)) == 121
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_instances())
+def test_solve_rows_are_the_deflated_rows(inst):
+    # counted from the diagonal alone, before any block is built
+    assert operators.fiber_solve_rows(*inst) == max(d for d, _ in reduced_dims(*inst))
+
+
+@pytest.mark.parametrize("m, k, grid, rows", [
+    (MassPair(1.0, 2.5), Quasimomentum(0.7, -1.9, 2.8), MomentumGrid(5), 125),  # one block
+    (EQUAL, Quasimomentum(0.3, -1.1, 2.0), MomentumGrid(6), 108),  # parity blocks, no run
+    (EQUAL, Quasimomentum(PI, PI, PI), MomentumGrid(6), 6),  # flat band: one level
+])
+def test_solve_rows_of_a_block(m, k, grid, rows):
+    assert operators.fiber_solve_rows(m, k, SIGNED, grid) == rows
+    assert rows == max(d for d, _ in reduced_dims(m, k, SIGNED, grid))
+
+
+@pytest.mark.parametrize("pot", [NINE_SITES, SIGNED, Potential({(0, 0, 0): 2.0})])
+@pytest.mark.parametrize("m, k, offset", [
+    (EQUAL, Quasimomentum(0.6, 0.6, 0.6), 0.0),       # zone diagonal
+    (EQUAL, Quasimomentum(-1.3, -1.3, -1.3), 0.5),
+    (EQUAL, Quasimomentum(PI, 1.1, 0.5), 0.0),        # degenerate direction k1 = pi
+    (MassPair(0.7, 2.0), Quasimomentum(0.0, 0.0, 0.0), 0.5),
+])
+def test_stacked_qr_is_the_per_run_qr(pot, m, k, offset):
+    # runs of several lengths, each length shared by many runs: one QR
+    # call per length gives the R, and so the blocks, of one call per run
+    parts, tol = operators._fiber_parts(m, k, pot, MomentumGrid(10, offset))
+    lengths = []
+    for diag, f, _ in parts:
+        stacked, per_run = operators._deflate(diag, f, tol), deflate_per_run(diag, f, tol)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, per_run))
+        lengths += [b - a for a, b in operators._long_runs(np.sort(diag), tol, f.shape[1])]
+    assert len(set(lengths)) > 1 and len(lengths) > len(set(lengths))
 
 
 class TestRuns:

@@ -2,6 +2,7 @@
 thread policy set when the package loads numpy."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import threading
 import pytest
 
 import lattice_spectra
+from lattice_spectra import cli, operators, parallel
 from lattice_spectra.errors import InputError
 from lattice_spectra.parallel import BLAS_VARS, ENV_VAR, parallel_map, worker_count
 
@@ -130,3 +132,69 @@ def test_spectrum_output_independent_of_worker_count(tmp_path):
         outs.append(proc.stdout)
     assert len(json.loads(outs[0])["spectrum"]) == 4
     assert outs[0] == outs[1]
+
+
+def spectrum_stdout(monkeypatch, capsys, workers, *argv):
+    """stdout of ``spectrum`` run by ``cli.main`` on ``workers`` threads at most."""
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+    assert cli.main(["spectrum", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_forced_pool_output_independent_of_worker_count(tmp_path, monkeypatch, capsys,
+                                                        solved_on_main):
+    # the subprocess test above now runs in one thread, its blocks being
+    # small; here the pool is forced for every block size
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"sites": [{"s": [0, 0, 0], "v": 6.0}, {"s": [1, 0, 0], "v": 1.5}]}')
+    argv = ["--masses", "1,2.5", "--potential", str(pot), "--grid", "6",
+            "--k", "0,0,0", "--k", "0.3,-1.1,2", "--k", "1,1,1", "--k", "3,0.5,-2"]
+    monkeypatch.setattr(cli, "POOL_MIN_ROWS", 0)
+    one = spectrum_stdout(monkeypatch, capsys, 1, *argv)
+    assert solved_on_main == [True] * 4
+    solved_on_main.clear()
+    two = spectrum_stdout(monkeypatch, capsys, 2, *argv)
+    assert solved_on_main == [False] * 4
+    assert len(json.loads(one)["spectrum"]) == 4
+    assert one == two
+
+
+class TestPoolOnlyForLargeBlocks:
+    """``spectrum`` starts the pool only when some k leaves a block of at
+    least ``cli.POOL_MIN_ROWS`` rows to solve after deflation."""
+
+    @pytest.fixture
+    def rows_seen(self, monkeypatch):
+        seen = []
+        count = operators.fiber_solve_rows
+
+        def counted(*args):
+            seen.append(count(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(operators, "fiber_solve_rows", counted)
+        return seen
+
+    def test_benchmark_shape_runs_in_the_calling_thread(self, tmp_path, monkeypatch, capsys,
+                                                        rows_seen, solved_on_main):
+        # nine sites, N = 10, equal masses on the zone diagonal: each k
+        # leaves 121 rows to solve, and (pi, pi, pi) 5
+        pot = tmp_path / "nine.json"
+        pot.write_text(json.dumps({"sites": [
+            {"s": s, "v": v} for s, v in [([0, 0, 0], 4.0), ([1, 0, 0], 1.2), ([0, 1, 1], 0.7),
+                                          ([1, -1, 0], 2.1), ([1, 1, 1], 0.9)]]}))
+        pi = repr(math.pi)
+        spectrum_stdout(monkeypatch, capsys, 2, "--grid", "10", "--potential", str(pot),
+                        "--k-path", f"0,0,0:{pi},{pi},{pi}:8")
+        assert rows_seen == [121] * 7 + [5]
+        assert solved_on_main == [True] * 8
+
+    def test_large_block_starts_the_pool(self, tmp_path, monkeypatch, capsys, rows_seen,
+                                         solved_on_main):
+        # unequal masses at a generic k: one block of all N^3 = 1000 rows
+        pot = tmp_path / "pot.json"
+        pot.write_text('{"sites": [{"s": [0, 0, 0], "v": 6.0}]}')
+        spectrum_stdout(monkeypatch, capsys, 2, "--grid", "10", "--masses", "1,2.5",
+                        "--potential", str(pot), "--k", "0.3,-1.1,2.0", "--k", "1.0,0.7,-0.4")
+        assert rows_seen[0] == 1000 >= cli.POOL_MIN_ROWS
+        assert solved_on_main == [False, False]

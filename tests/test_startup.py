@@ -35,6 +35,17 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert not {"csv", "concurrent.futures", "logging"} & loaded
 
 
+def test_deflation_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 10 ms of a process;
+    # equal masses on the zone diagonal give runs of several lengths
+    loaded = child_modules(
+        "from lattice_spectra import MassPair, MomentumGrid, Potential, Quasimomentum\n"
+        "from lattice_spectra.spectral import fiber_eigenvalues\n"
+        "fiber_eigenvalues(MassPair(1.0, 1.0), Quasimomentum(0.6, 0.6, 0.6),\n"
+        "                  Potential({(0, 0, 0): 2.0}), MomentumGrid(6))")
+    assert "numpy.ma" not in loaded
+
+
 def test_records_are_named_tuples():
     grid = MomentumGrid(8)
     assert grid == (8, 0.5) and tuple(grid) == (8, 0.5)
