@@ -17,7 +17,6 @@ from .analysis import (
     PositivityReport,
     ThresholdCount,
     ThresholdReport,
-    ZSchedule,
     bs_check,
     count_below_band,
     critical_coupling,

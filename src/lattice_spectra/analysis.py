@@ -25,11 +25,10 @@ from .errors import (
     ZeroPotentialError,
     ZNotBelowBandError,
 )
-from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _echo, _real
+from .model import MassPair, MomentumGrid, Potential, Quasimomentum, _real
 from .operators import (
     _eigvalsh,
     _gram,
-    _require_fits,
     _require_psd,
     bs_support_eigenvalues,
     fiber_count_above,
@@ -42,33 +41,10 @@ from .spectral import count_above, count_below, default_tie_tol, fiber_count_bel
 ZERO_K = Quasimomentum(0.0, 0.0, 0.0)
 
 
-# Bytes one step of a z-schedule takes in ``ZSchedule.points``: the
-# tracemalloc peak is 3.2 MB at 10^5 steps.
-Z_STEP_BYTES = 32
-
-
-class ZSchedule(namedtuple("ZSchedule", "delta0 ratio steps")):
-    """Geometric approach z_i = e_min - delta0 * ratio^i from below."""
-
-    __slots__ = ()
-
-    def __new__(cls, delta0: float = 1.0, ratio: float = 0.1, steps: int = 7) -> "ZSchedule":
-        # NaN fails every comparison, so each check is written to pass
-        # only a finite value in range
-        if not (math.isfinite(_real(delta0, "delta0")) and delta0 > 0.0):
-            raise InputError(f"delta0 must be finite and > 0, got {delta0}")
-        if not (0.0 < _real(ratio, "ratio") < 1.0):
-            raise InputError(f"ratio must be in (0, 1), got {ratio}")
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-            raise InputError(f"steps must be an integer, got {steps!r}")
-        if steps < 2:
-            raise InputError("need at least 2 steps")
-        return super().__new__(cls, delta0, ratio, steps)
-
-    def points(self, e_min: float) -> list[float]:
-        steps = int(self.steps)  # an exact int: a numpy integer would wrap
-        _require_fits(steps * Z_STEP_BYTES, f"a z-schedule of {_echo(steps)} steps", InputError)
-        return [e_min - self.delta0 * self.ratio**i for i in range(steps)]
+# The z-schedule z_i = e_min - Z_DELTAS[i] of the threshold counts.  On a
+# finite grid its counts repeat the direct count below the band, so it is
+# fixed, not tuned.
+Z_DELTAS = tuple(0.1**i for i in range(7))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +101,10 @@ def threshold_count(
     k: Quasimomentum,
     pot: Potential,
     grid: MomentumGrid,
-    schedule: ZSchedule = ZSchedule(),
     tie_tol: Optional[float] = None,
 ) -> ThresholdCount:
-    """Track n_+(1, G(k, z_i)) along a z-schedule approaching the band bottom.
+    """Track n_+(1, G(k, z_i)) along the z-schedule ``Z_DELTAS`` approaching
+    the band bottom.
 
     Each count takes the tie band tie_tol, by default ``default_tie_tol`` of
     that Gram spectrum.  The counts stabilize when the threshold operator
@@ -136,7 +112,7 @@ def threshold_count(
     (divergence is reported, not decided).
     """
     e_min = band_geometry(m, k).e_min
-    zs = schedule.points(e_min)
+    zs = [e_min - d for d in Z_DELTAS]
     counts = []
     for z in zs:
         eigs = bs_support_eigenvalues(m, k, pot, z, grid)
@@ -514,7 +490,6 @@ def verify_cheksiz(
     k: Quasimomentum,
     pot: Potential,
     grid: MomentumGrid,
-    schedule: ZSchedule = ZSchedule(),
     tie_tol: Optional[float] = None,
 ) -> CheksizReport:
     """Lower bound on below-band eigenvalues from a collapsed band direction.
@@ -531,7 +506,7 @@ def verify_cheksiz(
     j = min(degen)
     target = sum(1 for s, v in pot.entries.items()
                  if v > 0 and all(s[i] == 0 for i in range(3) if i != j))
-    tc = threshold_count(m, k, pot, grid, schedule, tie_tol)
+    tc = threshold_count(m, k, pot, grid, tie_tol)
     monotone = all(a <= b for a, b in zip(tc.counts, tc.counts[1:]))
     return CheksizReport(
         axis=j,

@@ -78,7 +78,7 @@ def _parse_k_path(text: str) -> list[Quasimomentum]:
 
 def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argparse.Namespace:
     """Every parsed flag, with masses, potential and grid resolved to their
-    model objects, plus the k-points (k_list) and the z-schedule."""
+    model objects, plus the k-points (k_list)."""
     mp = args.masses.split(",")
     if len(mp) != 2:
         raise InputError(f"--masses wants m1,m2, got {_echo(args.masses)}")
@@ -98,7 +98,6 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
     elif need_potential:
         raise InputError("this command requires --potential")
     grid = MomentumGrid(args.grid, args.offset)
-    schedule = analysis.ZSchedule(args.z_delta0, args.z_ratio, args.z_steps)
     k_list = [Quasimomentum(*_parse_triple(trip)) for trip in args.k or []]
     if args.k_path:
         k_list.extend(_parse_k_path(args.k_path))
@@ -116,7 +115,7 @@ def _config_from_args(args: argparse.Namespace, need_potential: bool) -> argpars
             span = "> 0" if high == math.inf else "in (0, 1)"
             raise InputError(f"--{name.replace('_', '-')} must be finite and {span}, got {val}")
     return argparse.Namespace(**{**vars(args), "masses": masses, "potential": pot, "grid": grid,
-                                 "k_list": k_list, "schedule": schedule})
+                                 "k_list": k_list})
 
 
 def _require_k(cfg: argparse.Namespace) -> list[Quasimomentum]:
@@ -271,8 +270,7 @@ def _per_k(check):
 
 @_per_k
 def _suite_threshold(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
-    tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
-                                  cfg.tie_tol)
+    tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
     direct = analysis.count_below_band(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
     return {"counts": list(tc.counts), "stabilized": tc.stabilized, "divergent": tc.divergent,
             "direct_n_below": direct, "pass": (not tc.divergent) and tc.stabilized == direct}
@@ -295,8 +293,7 @@ def _suite_existence(cfg: argparse.Namespace) -> dict:
 
 @_per_k
 def _suite_cheksiz(cfg: argparse.Namespace, k: Quasimomentum) -> dict:
-    rep = analysis.verify_cheksiz(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
-                                  cfg.tie_tol)
+    rep = analysis.verify_cheksiz(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
     return {**_jsonable(rep), "pass": rep.holds}
 
 
@@ -361,8 +358,7 @@ def cmd_plotdata(cfg: argparse.Namespace) -> int:
     else:  # bs_counts, the last of the quantities argparse accepts
         writer.writerow(["k1", "k2", "k3", "z", "n_plus"])
         for k in ks:
-            tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.schedule,
-                                          cfg.tie_tol)
+            tc = analysis.threshold_count(cfg.masses, k, cfg.potential, cfg.grid, cfg.tie_tol)
             for z, c in zip(tc.zs, tc.counts):
                 writer.writerow([*k.components, z, c])
     _emit(buf.getvalue(), cfg.out)
@@ -373,8 +369,6 @@ def cmd_plotdata(cfg: argparse.Namespace) -> int:
 # Entry point
 
 
-_SCHEDULE = analysis.ZSchedule()  # the default z-schedule
-
 # Every flag a subcommand may take, by argparse dest; the flag is "--" + dest
 # with "-" for "_".
 FLAGS = {
@@ -384,9 +378,6 @@ FLAGS = {
     "offset": dict(type=float, default=0.5, help="grid offset in [0,1)"),
     "k": dict(action="append", help="quasi-momentum a,b,c (repeatable)"),
     "k_path": dict(help="path spec a,b,c:d,e,f:COUNT"),
-    "z_delta0": dict(type=float, default=_SCHEDULE.delta0),
-    "z_ratio": dict(type=float, default=_SCHEDULE.ratio),
-    "z_steps": dict(type=int, default=_SCHEDULE.steps),
     "seed": dict(type=int, default=0),
     "trials": dict(type=int),
     "refine": dict(action="store_true", default=False),
@@ -409,8 +400,8 @@ COMMANDS = {
     "critical": ("critical coupling of the base potential", (*_MODEL_FLAGS, "refine", "out")),
     "verify": ("run theorem verification suites",
                tuple(f for f in FLAGS if f not in ("refine", "quantity"))),
-    "plotdata": ("CSV data for external plotting", (*_MODEL_FLAGS, "k", "k_path", "z_delta0",
-                 "z_ratio", "z_steps", "tie_tol", "out", "quantity")),
+    "plotdata": ("CSV data for external plotting",
+                 (*_MODEL_FLAGS, "k", "k_path", "tie_tol", "out", "quantity")),
 }
 
 

@@ -29,8 +29,8 @@ from lattice_spectra.analysis import (
     OVERLAP_TOL,
     UNIT_TOL,
     ZERO_K,
+    Z_DELTAS,
     ThresholdReport,
-    ZSchedule,
     _threshold_report,
 )
 from lattice_spectra.dispersion import band_geometry, dispersion_on_grid
@@ -316,11 +316,6 @@ def continuity_exponent(
         raise PreconditionError(
             "grid samples must sit strictly above the analytic band bottom"
         )
-    schedule = ZSchedule()
-    deltas = [schedule.delta0 * schedule.ratio**i for i in range(schedule.steps)]
-    norms = [
-        bs_difference_norm(m, k, pot, geo.e_min, z, grid)
-        for z in schedule.points(geo.e_min)
-    ]
-    slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
-    return ContinuityReport(tuple(deltas), tuple(norms), slope)
+    norms = [bs_difference_norm(m, k, pot, geo.e_min, geo.e_min - d, grid) for d in Z_DELTAS]
+    slope = float(np.polyfit(np.log(Z_DELTAS), np.log(norms), 1)[0])
+    return ContinuityReport(Z_DELTAS, tuple(norms), slope)

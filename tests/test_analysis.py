@@ -16,7 +16,6 @@ from lattice_spectra import (
     MomentumGrid,
     Potential,
     Quasimomentum,
-    ZSchedule,
     band_geometry,
     bs_check,
     bs_support_eigenvalues,
@@ -53,47 +52,12 @@ M11 = MassPair(1, 1)
 
 class TestZSchedule:
     def test_points_increase_toward_e_min(self):
-        zs = ZSchedule(1.0, 0.1, 4).points(2.0)
-        assert zs == sorted(zs)
-        assert all(z < 2.0 for z in zs)
-        assert zs[-1] == pytest.approx(2.0 - 1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ZSchedule(delta0=0.0)
-        with pytest.raises(ValueError):
-            ZSchedule(ratio=1.0)
-        with pytest.raises(ValueError):
-            ZSchedule(steps=1)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ZSchedule(delta0=bad)
-        with pytest.raises(ValueError):
-            ZSchedule(ratio=bad)
-
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"delta0": 0.0}, "delta0 must be finite and > 0, got 0.0"),
-        ({"ratio": 1.0}, r"ratio must be in \(0, 1\), got 1.0"),
-        ({"steps": 1}, "need at least 2 steps"),
-        ({"steps": 3.5}, "steps must be an integer, got 3.5"),
-        ({"steps": True}, "steps must be an integer, got True"),
-        ({"delta0": "1"}, "delta0 must be a real number"),
-        ({"ratio": True}, "ratio must be a real number"),
-    ])
-    def test_refusals_are_input_errors(self, kwargs, message):
-        # points() would raise a bare TypeError on 3.5 steps
-        with pytest.raises(InputError, match=message):
-            ZSchedule(**kwargs)
-
-    def test_numpy_integer_steps_accepted(self):
-        assert len(ZSchedule(steps=np.int64(3)).points(0.0)) == 3
-
-    def test_integer_beyond_the_float_range_is_input_error(self):
-        # math.isfinite would raise a bare OverflowError
-        with pytest.raises(InputError, match="delta0 is an integer beyond the float range"):
-            ZSchedule(delta0=10**400)
+        # z_i = e_min - 1.0 * 0.1**i to the bit, i < 7
+        k = Quasimomentum(0.3, -1.1, 2.0)
+        e_min = band_geometry(M11, k).e_min
+        tc = threshold_count(M11, k, Potential({}), MomentumGrid(4))
+        assert tc.zs == tuple(e_min - 1.0 * 0.1**i for i in range(7))
+        assert list(tc.zs) == sorted(tc.zs) and tc.zs[-1] < e_min
 
 
 @st.composite

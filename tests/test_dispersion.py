@@ -16,7 +16,6 @@ from lattice_spectra import (
     dispersion,
     eps,
 )
-from lattice_spectra.errors import InputError
 
 from conftest import k_pi, scanned_band_edges
 
@@ -126,20 +125,10 @@ class TestBandGeometry:
 
 class TestDegenerateDirections:
     def test_equal_masses_axis_pi(self):
-        assert degenerate_directions(
-            MassPair(1, 1), Quasimomentum(math.pi, 0, 0), 1e-12
-        ) == {0}
+        assert degenerate_directions(MassPair(1, 1), Quasimomentum(math.pi, 0, 0)) == {0}
 
     def test_unequal_masses_never_degenerate(self):
-        assert degenerate_directions(MassPair(1, 2), k_pi(), 1e-12) == set()
+        assert degenerate_directions(MassPair(1, 2), k_pi()) == set()
 
     def test_k_zero_not_degenerate(self):
-        assert degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0), 1e-12) == set()
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0), -1.0)
-
-    def test_negative_tol_is_input_error(self):
-        with pytest.raises(InputError, match="tol must be >= 0"):
-            degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0), -1.0)
+        assert degenerate_directions(MassPair(1, 1), Quasimomentum(0, 0, 0)) == set()
